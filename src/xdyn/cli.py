@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import model, states
@@ -20,6 +21,18 @@ from .validate import run_validation
 
 DEFAULT_STEPS = 5000
 DEFAULT_T_MAX = 10.0
+
+# A token argparse should read as a negative number, not as an option.  Its
+# own pattern (Python 3.11) misses exponents, so "--field -1e-10" failed.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that takes "-1e-10" as a value; subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def _pair(value: complex) -> list[float]:
@@ -141,7 +154,7 @@ def _cmd_evolve(ns: argparse.Namespace) -> tuple[str, int]:
     p = _params_from(ns)
     s = parse_state_arg(ns.state)
     rho = evolve_closed(s, p, ns.t)
-    v = states.bloch_from_density(rho.matrix)
+    v = states.bloch_from_density(rho)
     payload = {
         "params": _params_block(p),
         "t": float(ns.t),
@@ -228,7 +241,7 @@ _HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xdyn",
         description=(
             "Closed-form dynamics of two-qubit X states under anisotropic "

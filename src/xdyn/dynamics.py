@@ -23,9 +23,8 @@ from .errors import (
     RangeError,
     XdynError,
 )
-from .fidelity import DensityMatrix, fidelity, fidelity_bell_diagonal, purity
+from .fidelity import DensityMatrix, fidelity, fidelity_bell_diagonal, is_bell_diagonal, purity
 
-BELL_DIAGONAL_TOL = 1e-12
 BLOCH_MATCH_TOL = 1e-12
 
 # A trajectory counts as stationary when the fidelity never drops further
@@ -142,10 +141,6 @@ def overlap_evolved(s: states.XState, p: model.CouplingParams, t: float) -> floa
     return linalg.trace_product(rho0, rho_t).real
 
 
-def _is_bell_diagonal(v: states.BlochVector) -> bool:
-    return max(abs(v.s1), abs(v.s2)) <= BELL_DIAGONAL_TOL
-
-
 def scan(s: states.XState, p: model.CouplingParams, grid: TimeGrid) -> FidelityTrace:
     """Fidelity, purity and c1 - c2 sampled along a time grid.
 
@@ -155,7 +150,7 @@ def scan(s: states.XState, p: model.CouplingParams, grid: TimeGrid) -> FidelityT
     """
     rho0 = states.to_density(s)
     v0 = states.to_bloch(s)
-    bell = _is_bell_diagonal(v0)
+    bell = is_bell_diagonal(v0)
     times = grid.times()
     n = len(times)
     f_num = np.empty(n)
@@ -169,7 +164,7 @@ def scan(s: states.XState, p: model.CouplingParams, grid: TimeGrid) -> FidelityT
             raise type(exc)(f"scan: evolution failed at sample {k} (t={t}): {exc}") from exc
         f_num[k] = fidelity(rho0, rho_t)
         pur[k] = purity(rho_t)
-        vt = states.bloch_from_density(rho_t.matrix)
+        vt = states.bloch_from_density(rho_t)
         cdiff[k] = vt.c1 - vt.c2
         if bell:
             f_clo[k] = fidelity_bell_diagonal(v0, p, float(t))
@@ -184,11 +179,11 @@ def c_difference(v: states.BlochVector, p: model.CouplingParams, t: float) -> fl
     family the two signed trajectories are exact mirror images, so this is
     lossless.
     """
-    if not _is_bell_diagonal(v):
+    if not is_bell_diagonal(v):
         raise DomainError("c_difference: defined only for Bell-diagonal states")
     sign = 1.0 if v.c1 - v.c2 >= 0 else -1.0
     rho_t = evolve_closed(states.from_bloch(v), p, t)
-    vt = states.bloch_from_density(rho_t.matrix)
+    vt = states.bloch_from_density(rho_t)
     return sign * (vt.c1 - vt.c2)
 
 
@@ -199,7 +194,7 @@ def c_difference_predicted(v: states.BlochVector, p: model.CouplingParams, t: fl
     factor dips below zero whenever B^2 > Delta^2, i.e. such trajectories
     cross the c1 = c2 plane.
     """
-    if not _is_bell_diagonal(v):
+    if not is_bell_diagonal(v):
         raise DomainError("c_difference_predicted: defined only for Bell-diagonal states")
     f = model.frequencies(p)
     pulse = p.field * t * model.sinc(f.eta * t)
@@ -212,7 +207,7 @@ def c_difference_cos2(v: states.BlochVector, p: model.CouplingParams, t: float) 
     It matches the oracle exactly when B^2 = Delta^2 and drifts otherwise;
     see `xdyn validate` for the adjudication.
     """
-    if not _is_bell_diagonal(v):
+    if not is_bell_diagonal(v):
         raise DomainError("c_difference_cos2: defined only for Bell-diagonal states")
     return (v.c1 - v.c2) * math.cos(model.frequencies(p).eta * t) ** 2
 
@@ -245,7 +240,7 @@ def classify(s: states.XState, p: model.CouplingParams) -> StationarityVerdict:
     """
     v = states.to_bloch(s)
     f = model.frequencies(p)
-    if _is_bell_diagonal(v):
+    if is_bell_diagonal(v):
         coeffs = (v.s1, v.s2, v.c1, v.c2, v.c3)
         if all(abs(x) <= BLOCH_MATCH_TOL for x in coeffs):
             return StationarityVerdict(kind="stationary", reason="maximally_mixed")

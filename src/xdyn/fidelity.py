@@ -25,7 +25,28 @@ EIG_FLOOR = -1e-10
 # Slack on the [0, 1] window before a fidelity value is treated as a bug.
 CLAMP_TOL = 1e-12
 
+# A Bloch vector counts as Bell-diagonal when both polarizations are this small.
 BELL_DIAGONAL_TOL = 1e-12
+
+# Flat indices of the eight entries off the diagonal and the antidiagonal.
+_OFF_X = np.array([1, 2, 4, 7, 8, 11, 13, 14])
+
+
+def _x_min_eigenvalue(m: np.ndarray) -> float:
+    """Smallest eigenvalue of an X-shaped 4x4 matrix, in closed form.
+
+    The spectrum is that of the blocks {0, 3} and {1, 2}.  Each block is
+    read from the Hermitian part (m + m^dagger) / 2, as the Jacobi route
+    reads the whole matrix; [[x, g], [g*, y]] has eigenvalues
+    (x + y) / 2 +- hypot((x - y) / 2, |g|).
+    """
+    r = m.tolist()
+    lows = []
+    for p, q in ((0, 3), (1, 2)):
+        x, y = r[p][p].real, r[q][q].real
+        g = abs(r[p][q] + r[q][p].conjugate()) / 2.0
+        lows.append((x + y) / 2.0 - math.hypot((x - y) / 2.0, g))
+    return min(lows)
 
 
 @dataclass(frozen=True)
@@ -33,9 +54,12 @@ class DensityMatrix:
     """A 4x4 matrix checked to be a physical state on construction.
 
     Hermiticity within 1e-12 (max-norm), unit trace within 1e-12, minimum
-    eigenvalue above -1e-10 via the in-house Jacobi eigensolver.  Violations
-    raise ConsistencyError, since every code path that builds one is
-    supposed to produce a physical state.
+    eigenvalue above -1e-10.  The minimum eigenvalue of an X-shaped matrix
+    (all eight off-X entries exactly zero, as the dynamics keeps them) comes
+    from its two 2x2 blocks in closed form; any other matrix goes through
+    the in-house Jacobi eigensolver.  Violations raise ConsistencyError,
+    since every code path that builds one is supposed to produce a
+    physical state.
     """
 
     matrix: np.ndarray
@@ -47,15 +71,18 @@ class DensityMatrix:
         trace = np.trace(m)
         if abs(trace - 1.0) > TRACE_TOL:
             raise ConsistencyError(f"DensityMatrix: trace must be 1, got {trace}")
-        eigs = linalg.eigvals_hermitian(m, tol=HERMITICITY_TOL)
-        if eigs[0] < EIG_FLOOR:
-            raise ConsistencyError(f"DensityMatrix: min eigenvalue {eigs[0]} below {EIG_FLOOR}")
+        if np.count_nonzero(m.take(_OFF_X)):
+            min_eig = linalg.eigvals_hermitian(m, tol=HERMITICITY_TOL)[0]
+        else:
+            min_eig = _x_min_eigenvalue(m)
+        if min_eig < EIG_FLOOR:
+            raise ConsistencyError(f"DensityMatrix: min eigenvalue {min_eig} below {EIG_FLOOR}")
         object.__setattr__(self, "matrix", m)
 
 
 def purity(r: DensityMatrix) -> float:
     """Tr(rho^2)."""
-    return linalg.trace_product(r.matrix, r.matrix).real
+    return linalg._trace_of_product(r.matrix, r.matrix).real
 
 
 def fidelity(r: DensityMatrix, s: DensityMatrix) -> float:
@@ -64,7 +91,7 @@ def fidelity(r: DensityMatrix, s: DensityMatrix) -> float:
     The clamp only absorbs round-off: a value outside [0, 1] by more than
     1e-12 raises ConsistencyError instead of being silently clipped.
     """
-    num = linalg.trace_product(r.matrix, s.matrix).real
+    num = linalg._trace_of_product(r.matrix, s.matrix).real
     den = math.sqrt(purity(r) * purity(s))
     value = num / den
     if value < -CLAMP_TOL or value > 1.0 + CLAMP_TOL:
@@ -72,9 +99,9 @@ def fidelity(r: DensityMatrix, s: DensityMatrix) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _require_bell_diagonal(v, where: str):
-    if max(abs(v.s1), abs(v.s2)) > BELL_DIAGONAL_TOL:
-        raise DomainError(f"{where}: defined only for Bell-diagonal states (s1 = s2 = 0)")
+def is_bell_diagonal(v) -> bool:
+    """Whether a BlochVector has s1 = s2 = 0 within BELL_DIAGONAL_TOL."""
+    return max(abs(v.s1), abs(v.s2)) <= BELL_DIAGONAL_TOL
 
 
 def fidelity_bell_diagonal(v, p: model.CouplingParams, t: float) -> float:
@@ -88,7 +115,10 @@ def fidelity_bell_diagonal(v, p: model.CouplingParams, t: float) -> float:
         p: couplings and field.
         t: evolution time.
     """
-    _require_bell_diagonal(v, "fidelity_bell_diagonal")
+    if not is_bell_diagonal(v):
+        raise DomainError(
+            "fidelity_bell_diagonal: defined only for Bell-diagonal states (s1 = s2 = 0)"
+        )
     f = model.frequencies(p)
     pulse = p.field * t * model.sinc(f.eta * t)  # B sin(eta t) / eta
     denom = 1.0 + v.c1**2 + v.c2**2 + v.c3**2

@@ -23,6 +23,14 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
 
+# The two-qubit Pauli products the Hamiltonian and the Bloch observables
+# are written in; first factor acts on the first qubit.
+PAULI_XX = np.kron(PAULI_X, PAULI_X)
+PAULI_YY = np.kron(PAULI_Y, PAULI_Y)
+PAULI_ZZ = np.kron(PAULI_Z, PAULI_Z)
+PAULI_ZI = np.kron(PAULI_Z, ID2)
+PAULI_IZ = np.kron(ID2, PAULI_Z)
+
 # Default accuracy target for the iterative routines.
 DEFAULT_TOL = 1e-12
 
@@ -173,6 +181,10 @@ def eigvals_hermitian(m, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def trace_product(a, b) -> complex:
     """Tr(a @ b) accumulated directly, without forming the product matrix."""
-    am = as_matrix4(a, "trace_product")
-    bm = as_matrix4(b, "trace_product")
-    return complex(np.einsum("ij,ji->", am, bm))
+    return _trace_of_product(as_matrix4(a, "trace_product"), as_matrix4(b, "trace_product"))
+
+
+def _trace_of_product(a: np.ndarray, b: np.ndarray) -> complex:
+    # For operands already checked by as_matrix4 (or held by a DensityMatrix);
+    # callers inside the package use it to skip a second coercion.
+    return complex(np.einsum("ij,ji->", a, b))

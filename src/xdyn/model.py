@@ -66,12 +66,11 @@ def frequencies(p: CouplingParams) -> DerivedFrequencies:
 
 def hamiltonian(p: CouplingParams) -> np.ndarray:
     """The 4x4 Hamiltonian matrix in the computational basis."""
-    sx, sy, sz, i2 = linalg.PAULI_X, linalg.PAULI_Y, linalg.PAULI_Z, linalg.ID2
     return 0.5 * (
-        p.jx * linalg.kron2(sx, sx)
-        + p.jy * linalg.kron2(sy, sy)
-        + p.jz * linalg.kron2(sz, sz)
-        + p.field * (linalg.kron2(sz, i2) + linalg.kron2(i2, sz))
+        p.jx * linalg.PAULI_XX
+        + p.jy * linalg.PAULI_YY
+        + p.jz * linalg.PAULI_ZZ
+        + p.field * (linalg.PAULI_ZI + linalg.PAULI_IZ)
     )
 
 

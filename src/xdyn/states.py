@@ -23,9 +23,7 @@ from .errors import (
     RangeError,
     StateFileError,
 )
-from .fidelity import DensityMatrix
-
-TRACE_TOL = 1e-12
+from .fidelity import TRACE_TOL, DensityMatrix
 
 # Eigenvalue floor: a state is accepted iff its matrix has min eigenvalue
 # >= -POSITIVITY_FLOOR.  The closed-form block tests below encode exactly
@@ -33,11 +31,11 @@ TRACE_TOL = 1e-12
 POSITIVITY_FLOOR = 1e-10
 
 # Two-qubit observables whose expectations define the Bloch coefficients.
-OBS_S1 = linalg.kron2(linalg.PAULI_Z, linalg.ID2)
-OBS_S2 = linalg.kron2(linalg.ID2, linalg.PAULI_Z)
-OBS_C1 = linalg.kron2(linalg.PAULI_X, linalg.PAULI_X)
-OBS_C2 = linalg.kron2(linalg.PAULI_Y, linalg.PAULI_Y)
-OBS_C3 = linalg.kron2(linalg.PAULI_Z, linalg.PAULI_Z)
+OBS_S1 = linalg.PAULI_ZI
+OBS_S2 = linalg.PAULI_IZ
+OBS_C1 = linalg.PAULI_XX
+OBS_C2 = linalg.PAULI_YY
+OBS_C3 = linalg.PAULI_ZZ
 
 
 def _require_finite_real(value, name: str) -> float:
@@ -199,14 +197,18 @@ def to_density(s: XState) -> DensityMatrix:
 
 
 def bloch_from_density(m) -> BlochVector:
-    """Bloch coefficients of any density matrix, by the trace definition."""
-    mm = linalg.as_matrix4(m, "bloch_from_density")
+    """Bloch coefficients of any density matrix, by the trace definition.
+
+    A DensityMatrix was checked when it was built and is read as is; any
+    other input is coerced with as_matrix4.
+    """
+    mm = m.matrix if isinstance(m, DensityMatrix) else linalg.as_matrix4(m, "bloch_from_density")
     return BlochVector(
-        s1=linalg.trace_product(mm, OBS_S1).real,
-        s2=linalg.trace_product(mm, OBS_S2).real,
-        c1=linalg.trace_product(mm, OBS_C1).real,
-        c2=linalg.trace_product(mm, OBS_C2).real,
-        c3=linalg.trace_product(mm, OBS_C3).real,
+        s1=linalg._trace_of_product(mm, OBS_S1).real,
+        s2=linalg._trace_of_product(mm, OBS_S2).real,
+        c1=linalg._trace_of_product(mm, OBS_C1).real,
+        c2=linalg._trace_of_product(mm, OBS_C2).real,
+        c3=linalg._trace_of_product(mm, OBS_C3).real,
     )
 
 

@@ -372,8 +372,7 @@ def _errata_c_diff_law(rng, cases: int) -> ErrataFinding:
         p = _special_params(rng, k)
         t = float(rng.uniform(0.2, 8.0))
         v = states.to_bloch(s)
-        rho_t = evolve_oracle(s, p, t).matrix
-        vt = states.bloch_from_density(rho_t)
+        vt = states.bloch_from_density(evolve_oracle(s, p, t))
         oracle = vt.c1 - vt.c2
         worst_cos2 = max(worst_cos2, abs(oracle - c_difference_cos2(v, p, t)))
         worst_linear = max(worst_linear, abs(oracle - c_difference_predicted(v, p, t)))

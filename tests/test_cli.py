@@ -90,6 +90,36 @@ def test_evolve_requires_time(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--jx", "--jy", "--jz", "--field", "--t"])
+def test_negative_exponent_values_as_separate_tokens(capsys, flag):
+    values = {"--jx": "1", "--jy": "0.3", "--jz": "0.5", "--field": "0.8", "--t": "1.1"}
+    values[flag] = "-1e-10"
+    joined = [f"{k}={v}" for k, v in values.items()]
+    split = [tok for k, v in values.items() for tok in (k, v)]
+    code, out_joined, err = run_cli(capsys, "evolve", *joined, "--state", "werner:0.5")
+    assert code == 0 and err == ""
+    code, out_split, err = run_cli(capsys, "evolve", *split, "--state", "werner:0.5")
+    assert code == 0 and err == ""
+    assert out_split == out_joined
+    payload = json.loads(out_split)
+    assert (payload["t"] if flag == "--t" else payload["params"][flag[2:]]) == -1e-10
+
+
+def test_negative_exponent_t_max_reaches_grid_check(capsys):
+    # read as a value, so the grid refuses it (exit 1), not argparse (exit 2)
+    for t_max in (["--t-max", "-2.5E+1"], ["--t-max=-2.5E+1"]):
+        code, out, err = run_cli(capsys, "scan", *ISO, "--state", "werner:0.5", *t_max)
+        assert code == 1 and out == ""
+        assert "t_max must be finite and positive, got -25.0" in err
+
+
+def test_non_numeric_dash_token_is_still_a_usage_error(capsys):
+    code, _, err = run_cli(
+        capsys, "spectrum", "--jx", "1", "--jy", "0", "--jz", "0", "--field", "-e5"
+    )
+    assert code == 2 and "expected one argument" in err
+
+
 def test_scan_csv_shape_and_determinism(tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"

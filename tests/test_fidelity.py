@@ -11,10 +11,13 @@ from xdyn import (
     CouplingParams,
     DensityMatrix,
     DomainError,
+    eigvals_hermitian,
     evolve_closed,
     evolve_oracle,
+    expm,
     fidelity,
     fidelity_bell_diagonal,
+    hamiltonian,
     overlap_bloch_form,
     overlap_population_form,
     preset_bell_diagonal,
@@ -25,9 +28,13 @@ from xdyn import (
     trace_product,
     xstate_matrix,
 )
+from xdyn import linalg
+from xdyn.fidelity import _x_min_eigenvalue
 from xdyn.states import BlochVector
 
 from conftest import random_bell_diagonal, random_params, random_xstate
+
+OFF_X = [(i, j) for i in range(4) for j in range(4) if i != j and i + j != 3]
 
 
 def test_density_matrix_accepts_mixed_state():
@@ -56,6 +63,93 @@ def test_density_matrix_rejects_negative_eigenvalue():
 def test_density_matrix_tolerates_floor_level_negativity():
     m = np.diag([1.0 + 1e-11, -1e-11, 0.0, 0.0]).astype(complex)
     assert DensityMatrix(m).matrix[1, 1].real == -1e-11
+
+
+def _count_jacobi_calls(monkeypatch) -> list:
+    calls = []
+    solver = linalg.eigvals_hermitian
+
+    def counting(m, tol=linalg.DEFAULT_TOL):
+        calls.append(m)
+        return solver(m, tol)
+
+    monkeypatch.setattr(linalg, "eigvals_hermitian", counting)
+    return calls
+
+
+def _random_x_matrix(rng) -> np.ndarray:
+    m = np.zeros((4, 4), dtype=complex)
+    for p, q in ((0, 3), (1, 2)):
+        m[p, p], m[q, q] = rng.normal(size=2)
+        m[p, q] = complex(*rng.normal(size=2))
+        m[q, p] = m[p, q].conjugate()
+    return m
+
+
+def test_x_block_minimum_matches_jacobi(rng):
+    matrices = [_random_x_matrix(rng) for _ in range(100)]
+    for _ in range(50):
+        s, p, t = random_xstate(rng), random_params(rng), float(rng.uniform(0.0, 10.0))
+        matrices += [evolve_oracle(s, p, t).matrix, evolve_closed(s, p, t).matrix]
+    for m in matrices:
+        assert abs(_x_min_eigenvalue(m) - eigvals_hermitian(m)[0]) < 1e-12
+
+
+def test_evolved_states_are_exactly_x_shaped(rng):
+    for _ in range(50):
+        s, p, t = random_xstate(rng), random_params(rng), float(rng.uniform(0.0, 10.0))
+        for m in (
+            expm(-1j * t * hamiltonian(p)),
+            evolve_oracle(s, p, t).matrix,
+            evolve_closed(s, p, t).matrix,
+        ):
+            assert all(m[i, j] == 0.0 for i, j in OFF_X)
+
+
+def test_density_matrix_x_route_skips_jacobi(monkeypatch, rng):
+    calls = _count_jacobi_calls(monkeypatch)
+    s, p = random_xstate(rng), random_params(rng)
+    DensityMatrix(xstate_matrix(s))
+    evolve_closed(s, p, 1.3)
+    evolve_oracle(s, p, 1.3)
+    assert calls == []
+
+
+def _outer_block_state(eps: float) -> np.ndarray:
+    # outer block eigenvalues 0.5 + eps and -eps, carried by a complex coherence
+    m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    m[0, 3] = (0.25 + eps) * np.exp(0.7j)
+    m[3, 0] = m[0, 3].conjugate()
+    return m
+
+
+def test_density_matrix_x_route_floor(monkeypatch):
+    calls = _count_jacobi_calls(monkeypatch)
+    DensityMatrix(_outer_block_state(1e-11))
+    with pytest.raises(ConsistencyError, match="min eigenvalue"):
+        DensityMatrix(_outer_block_state(1e-9))
+    assert calls == []
+
+
+def _plus_zero_projectors():
+    plus = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0)  # |+>|0>
+    minus = np.array([1.0, 0.0, -1.0, 0.0]) / math.sqrt(2.0)  # |->|0>
+    return np.outer(plus, plus).astype(complex), np.outer(minus, minus).astype(complex)
+
+
+def test_density_matrix_non_x_state_goes_through_jacobi(monkeypatch):
+    calls = _count_jacobi_calls(monkeypatch)
+    plus, _ = _plus_zero_projectors()
+    assert purity(DensityMatrix(plus)) == pytest.approx(1.0, abs=1e-15)
+    assert len(calls) == 1
+
+
+def test_density_matrix_non_x_negative_eigenvalue_rejected_by_jacobi(monkeypatch):
+    calls = _count_jacobi_calls(monkeypatch)
+    plus, minus = _plus_zero_projectors()
+    with pytest.raises(ConsistencyError, match="min eigenvalue"):
+        DensityMatrix(1.001 * plus - 0.001 * minus)
+    assert len(calls) == 1
 
 
 def test_fidelity_frozen_values():

@@ -175,6 +175,8 @@ def test_purity_routes_agree(rng):
 def test_to_density_matches_matrix(rng):
     s = random_xstate(rng)
     assert max_abs(to_density(s).matrix - xstate_matrix(s)) == 0.0
+    # a DensityMatrix is read without coercion, to the same coefficients
+    assert bloch_from_density(to_density(s)) == bloch_from_density(xstate_matrix(s))
 
 
 def test_bloch_from_density_on_non_x_matrix():
