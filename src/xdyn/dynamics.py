@@ -23,7 +23,8 @@ from .errors import (
     RangeError,
     XdynError,
 )
-from .fidelity import DensityMatrix, fidelity, fidelity_bell_diagonal, is_bell_diagonal, purity
+from .fidelity import EIG_FLOOR, TRACE_TOL, DensityMatrix, _block_min_eigenvalue, _clamp_fidelity
+from .fidelity import fidelity_bell_diagonal, is_bell_diagonal
 
 BLOCH_MATCH_TOL = 1e-12
 
@@ -93,12 +94,12 @@ class StationarityVerdict:
     period: float | None = None
 
 
-def evolve_closed(s: states.XState, p: model.CouplingParams, t: float) -> DensityMatrix:
-    """rho(t) assembled from the per-element closed forms.
+def _evolve_x(s: states.XState, p: model.CouplingParams, t: float) -> tuple:
+    """rho(t) as six numbers (a, b, c, d, z, w), z = rho[1, 2] and w = rho[0, 3].
 
     The outer block mixes populations a, d with the coherence w through
     mu+- and the anisotropy entry; the inner block is a rotation by
-    omega*t.  Output is validated like any other density matrix.
+    omega*t.  The populations are real, z and w complex.
     """
     pr = model.propagator(p, t)
     f = model.frequencies(p)
@@ -106,20 +107,30 @@ def evolve_closed(s: states.XState, p: model.CouplingParams, t: float) -> Densit
     cos_o = math.cos(f.omega * t)
     sin_o = math.sin(f.omega * t)
 
-    mu_prod = mu_p * mu_m
-    de_sq = de * de
-    de_mu_diff = de * (mu_p - mu_m)
+    mu_prod = (mu_p * mu_m).real
+    de_sq = (de * de).real
+    de_mu_diff = (de * (mu_p - mu_m)).real
+    return (
+        s.a * mu_prod - s.d * de_sq - s.w * de_mu_diff,
+        s.b - (s.b - s.c) * sin_o**2,
+        s.c + (s.b - s.c) * sin_o**2,
+        s.d * mu_prod - s.a * de_sq + s.w * de_mu_diff,
+        complex(s.z, (s.b - s.c) * cos_o * sin_o),
+        s.w * (mu_m * mu_m - de_sq) + (s.a - s.d) * de * mu_m,
+    )
 
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = s.a * mu_prod - s.d * de_sq - s.w * de_mu_diff
-    m[3, 3] = s.d * mu_prod - s.a * de_sq + s.w * de_mu_diff
-    m[0, 3] = s.w * (mu_m * mu_m - de_sq) + (s.a - s.d) * de * mu_m
-    m[3, 0] = s.w * (mu_p * mu_p - de_sq) - (s.a - s.d) * de * mu_p
-    m[1, 1] = s.b - (s.b - s.c) * sin_o**2
-    m[2, 2] = s.c + (s.b - s.c) * sin_o**2
-    m[1, 2] = s.z + 1j * (s.b - s.c) * cos_o * sin_o
-    m[2, 1] = m[1, 2].conjugate()
-    return DensityMatrix(m)
+
+def _x_overlap(x, y) -> float:
+    """Tr(rho sigma) of two X states given as six numbers each."""
+    a, b, c, d, z, w = (u * v.conjugate() for u, v in zip(x, y))
+    return (a + b + c + d + 2.0 * (z + w)).real
+
+
+def evolve_closed(s: states.XState, p: model.CouplingParams, t: float) -> DensityMatrix:
+    """rho(t) from the closed forms, validated like any other density matrix."""
+    a, b, c, d, z, w = _evolve_x(s, p, t)
+    x = [[a, 0, 0, w], [0, b, z, 0], [0, z.conjugate(), c, 0], [w.conjugate(), 0, 0, d]]
+    return DensityMatrix(np.array(x, dtype=complex))
 
 
 def evolve_oracle(s: states.XState, p: model.CouplingParams, t: float) -> DensityMatrix:
@@ -135,20 +146,19 @@ def evolve_oracle(s: states.XState, p: model.CouplingParams, t: float) -> Densit
 
 
 def overlap_evolved(s: states.XState, p: model.CouplingParams, t: float) -> float:
-    """Tr(rho(0) rho(t)) straight from the evolved matrix elements."""
-    rho0 = states.xstate_matrix(s)
-    rho_t = evolve_closed(s, p, t).matrix
-    return linalg.trace_product(rho0, rho_t).real
+    """Tr(rho(0) rho(t)) straight from the six evolved numbers."""
+    return _x_overlap((s.a, s.b, s.c, s.d, s.z, s.w), _evolve_x(s, p, t))
 
 
 def scan(s: states.XState, p: model.CouplingParams, grid: TimeGrid) -> FidelityTrace:
-    """Fidelity, purity and c1 - c2 sampled along a time grid.
+    """Fidelity, purity and c1 - c2 = 4 Re w(t) sampled along a time grid.
 
-    f_numeric always comes from the generic overlap route; f_closed is
-    added when the initial state is Bell-diagonal.  Evolution failures are
-    re-raised with the offending sample index attached.
+    Each sample evolves six numbers, checks their trace and block floor and
+    reads all three overlaps from one formula; f_closed is added for a
+    Bell-diagonal state.  Failures are re-raised with the sample index.
     """
-    rho0 = states.to_density(s)
+    x0 = (s.a, s.b, s.c, s.d, s.z, s.w)
+    pur0 = _x_overlap(x0, x0)
     v0 = states.to_bloch(s)
     bell = is_bell_diagonal(v0)
     times = grid.times()
@@ -157,22 +167,24 @@ def scan(s: states.XState, p: model.CouplingParams, grid: TimeGrid) -> FidelityT
     f_clo = np.empty(n) if bell else None
     pur = np.empty(n)
     cdiff = np.empty(n)
-    for k, t in enumerate(times):
+    for k, t in enumerate(times.tolist()):
         try:
-            rho_t = evolve_closed(s, p, float(t))
+            a, b, c, d, z, w = xt = _evolve_x(s, p, t)
+            min_eig = min(_block_min_eigenvalue(a, d, w), _block_min_eigenvalue(b, c, z))
+            if abs(a + b + c + d - 1.0) > TRACE_TOL or min_eig < EIG_FLOOR:
+                raise ConsistencyError(f"unphysical: trace {a + b + c + d}, min eig {min_eig}")
+            pur[k] = _x_overlap(xt, xt)
+            f_num[k] = _clamp_fidelity(_x_overlap(x0, xt) / math.sqrt(pur0 * pur[k]))
         except XdynError as exc:
             raise type(exc)(f"scan: evolution failed at sample {k} (t={t}): {exc}") from exc
-        f_num[k] = fidelity(rho0, rho_t)
-        pur[k] = purity(rho_t)
-        vt = states.bloch_from_density(rho_t)
-        cdiff[k] = vt.c1 - vt.c2
+        cdiff[k] = 4.0 * w.real
         if bell:
-            f_clo[k] = fidelity_bell_diagonal(v0, p, float(t))
+            f_clo[k] = fidelity_bell_diagonal(v0, p, t)
     return FidelityTrace(times=times, f_numeric=f_num, f_closed=f_clo, purity=pur, c1_minus_c2=cdiff)
 
 
 def c_difference(v: states.BlochVector, p: model.CouplingParams, t: float) -> float:
-    """c1(t) - c2(t) for a Bell-diagonal state, from the evolved matrix.
+    """c1(t) - c2(t) = 4 Re w(t) for a Bell-diagonal state.
 
     The state is evolved in canonical (non-negative coherence) form and the
     initial sign of c1 - c2 is restored afterwards; on the Bell-diagonal
@@ -182,9 +194,7 @@ def c_difference(v: states.BlochVector, p: model.CouplingParams, t: float) -> fl
     if not is_bell_diagonal(v):
         raise DomainError("c_difference: defined only for Bell-diagonal states")
     sign = 1.0 if v.c1 - v.c2 >= 0 else -1.0
-    rho_t = evolve_closed(states.from_bloch(v), p, t)
-    vt = states.bloch_from_density(rho_t)
-    return sign * (vt.c1 - vt.c2)
+    return sign * 4.0 * _evolve_x(states.from_bloch(v), p, t)[5].real
 
 
 def c_difference_predicted(v: states.BlochVector, p: model.CouplingParams, t: float) -> float:

@@ -32,21 +32,23 @@ BELL_DIAGONAL_TOL = 1e-12
 _OFF_X = np.array([1, 2, 4, 7, 8, 11, 13, 14])
 
 
+def _block_min_eigenvalue(x: float, y: float, g) -> float:
+    """Smaller eigenvalue of [[x, g], [g*, y]]: the one X-block positivity rule."""
+    return (x + y) / 2.0 - math.hypot((x - y) / 2.0, abs(g))
+
+
 def _x_min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of an X-shaped 4x4 matrix, in closed form.
 
     The spectrum is that of the blocks {0, 3} and {1, 2}.  Each block is
     read from the Hermitian part (m + m^dagger) / 2, as the Jacobi route
-    reads the whole matrix; [[x, g], [g*, y]] has eigenvalues
-    (x + y) / 2 +- hypot((x - y) / 2, |g|).
+    reads the whole matrix.
     """
     r = m.tolist()
-    lows = []
-    for p, q in ((0, 3), (1, 2)):
-        x, y = r[p][p].real, r[q][q].real
-        g = abs(r[p][q] + r[q][p].conjugate()) / 2.0
-        lows.append((x + y) / 2.0 - math.hypot((x - y) / 2.0, g))
-    return min(lows)
+    return min(
+        _block_min_eigenvalue(r[p][p].real, r[q][q].real, abs(r[p][q] + r[q][p].conjugate()) / 2.0)
+        for p, q in ((0, 3), (1, 2))
+    )
 
 
 @dataclass(frozen=True)
@@ -86,14 +88,17 @@ def purity(r: DensityMatrix) -> float:
 
 
 def fidelity(r: DensityMatrix, s: DensityMatrix) -> float:
-    """Normalized overlap Tr(r s) / sqrt(Tr r^2 Tr s^2), clamped to [0, 1].
+    """Normalized overlap Tr(r s) / sqrt(Tr r^2 Tr s^2), clamped to [0, 1]."""
+    num = linalg._trace_of_product(r.matrix, s.matrix).real
+    return _clamp_fidelity(num / math.sqrt(purity(r) * purity(s)))
+
+
+def _clamp_fidelity(value: float) -> float:
+    """A fidelity value clamped to [0, 1].
 
     The clamp only absorbs round-off: a value outside [0, 1] by more than
     1e-12 raises ConsistencyError instead of being silently clipped.
     """
-    num = linalg._trace_of_product(r.matrix, s.matrix).real
-    den = math.sqrt(purity(r) * purity(s))
-    value = num / den
     if value < -CLAMP_TOL or value > 1.0 + CLAMP_TOL:
         raise ConsistencyError(f"fidelity: value {value} outside [0, 1] beyond round-off")
     return min(max(value, 0.0), 1.0)

@@ -23,12 +23,7 @@ from .errors import (
     RangeError,
     StateFileError,
 )
-from .fidelity import TRACE_TOL, DensityMatrix
-
-# Eigenvalue floor: a state is accepted iff its matrix has min eigenvalue
-# >= -POSITIVITY_FLOOR.  The closed-form block tests below encode exactly
-# that condition, so they stay interchangeable with the eigensolver route.
-POSITIVITY_FLOOR = 1e-10
+from .fidelity import EIG_FLOOR, TRACE_TOL, DensityMatrix, _block_min_eigenvalue
 
 # Two-qubit observables whose expectations define the Bloch coefficients.
 OBS_S1 = linalg.PAULI_ZI
@@ -45,13 +40,6 @@ def _require_finite_real(value, name: str) -> float:
     if not math.isfinite(v):
         raise InvalidInputError(f"{name} must be finite, got {v!r}")
     return v
-
-
-def _block_positive(x: float, y: float, coherence: float) -> bool:
-    # Both eigenvalues of [[x, g], [g, y]] are >= -eps iff the shifted
-    # trace and determinant are non-negative.
-    eps = POSITIVITY_FLOOR
-    return (x + y) >= -2.0 * eps and coherence * coherence <= (x + eps) * (y + eps)
 
 
 @dataclass(frozen=True)
@@ -81,9 +69,9 @@ class XState:
         total = self.a + self.b + self.c + self.d
         if abs(total - 1.0) > TRACE_TOL:
             raise NormalizationError(f"populations must sum to 1, got {total!r}")
-        if not _block_positive(self.b, self.c, self.z):
+        if _block_min_eigenvalue(self.b, self.c, self.z) < EIG_FLOOR:
             raise PositivityError("inner block not positive: z^2 exceeds b*c")
-        if not _block_positive(self.a, self.d, self.w):
+        if _block_min_eigenvalue(self.a, self.d, self.w) < EIG_FLOOR:
             raise PositivityError("outer block not positive: w^2 exceeds a*d")
 
     @property

@@ -399,8 +399,8 @@ def run_validation(seed: int = 0, cases: int = 200) -> ValidationReport:
     """
     if isinstance(cases, bool) or not isinstance(cases, int) or cases < 10:
         raise RangeError(f"run_validation: cases must be an int >= 10, got {cases!r}")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise RangeError(f"run_validation: seed must be an int, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise RangeError(f"run_validation: seed must be a non-negative int, got {seed!r}")
     rng = np.random.default_rng(seed)
     checks = [
         _check_propagator(rng, cases),

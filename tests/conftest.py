@@ -2,35 +2,14 @@
 
 Everything random is seeded per test so failures replay exactly.
 """
-import math
-
 import numpy as np
 import pytest
 
-from xdyn import CouplingParams, XState
-
-
-def random_params(rng, scale=2.0) -> CouplingParams:
-    jx, jy, jz, b = rng.uniform(-scale, scale, 4)
-    return CouplingParams(jx=jx, jy=jy, jz=jz, field=b)
-
-
-def random_xstate(rng) -> XState:
-    pops = rng.random(4) + 1e-3
-    pops = pops / pops.sum()
-    a, b, c, d = (float(v) for v in pops)
-    z = float(rng.random()) * math.sqrt(b * c)
-    w = float(rng.random()) * math.sqrt(a * d)
-    return XState(a=a, b=b, c=c, d=d, z=z, w=w)
-
-
-def random_bell_diagonal(rng) -> XState:
-    c3 = float(rng.uniform(-0.95, 0.95))
-    a = (1.0 + c3) / 4.0
-    b = (1.0 - c3) / 4.0
-    w = float(rng.random()) * a
-    z = float(rng.random()) * b
-    return XState(a=a, b=b, c=b, d=a, z=z, w=w)
+# The samplers `xdyn validate` draws from, so the suite and the report see
+# the same distributions.
+from xdyn.validate import _random_bell_diagonal as random_bell_diagonal
+from xdyn.validate import _random_params as random_params
+from xdyn.validate import _random_xstate as random_xstate
 
 
 def random_hermitian(rng, scale=1.0) -> np.ndarray:

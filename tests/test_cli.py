@@ -217,6 +217,13 @@ def test_validate_rejects_tiny_case_budget(capsys):
     assert "error:" in err
 
 
+def test_validate_rejects_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "validate", "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "seed" in err
+
+
 def test_exit_code_domain_error(capsys):
     code, _, err = run_cli(
         capsys,

@@ -1,5 +1,6 @@
 """Closed-form evolution against the expm oracle, scans, classification,
 and period detection."""
+import cmath
 import math
 
 import numpy as np
@@ -33,10 +34,12 @@ from xdyn import (
     overlap_population_form,
     preset_p_mixture,
     preset_werner,
+    purity,
     scan,
     to_bloch,
     to_density,
 )
+from xdyn import dynamics
 from xdyn.dynamics import FidelityTrace
 from xdyn.linalg import max_abs
 
@@ -159,6 +162,46 @@ def test_scan_polarized_state_has_no_closed_column(rng):
     s = XState(a=0.5, b=0.2, c=0.2, d=0.1, z=0.1, w=0.1)
     trace = scan(s, random_params(rng), TimeGrid(t_max=3.0, steps=30))
     assert trace.f_closed is None
+
+
+def test_scan_matches_matrix_route(rng):
+    # the six-number scan against fidelity, purity and Bloch coefficients of
+    # the validated evolved matrix, on generic and Bell-diagonal states
+    worst = 0.0
+    for k in range(100):  # 50 generic, 50 Bell-diagonal
+        s = random_bell_diagonal(rng) if k % 2 else random_xstate(rng)
+        p = random_params(rng)
+        trace = scan(s, p, TimeGrid(t_max=float(rng.uniform(1.0, 10.0)), steps=9))
+        rho0 = to_density(s)
+        for j, t in enumerate(trace.times):
+            rho_t = evolve_closed(s, p, float(t))
+            v = bloch_from_density(rho_t)
+            worst = max(
+                worst,
+                abs(trace.f_numeric[j] - fidelity(rho0, rho_t)),
+                abs(trace.purity[j] - purity(rho_t)),
+                abs(trace.c1_minus_c2[j] - (v.c1 - v.c2)),
+            )
+    assert worst < 1e-14
+
+
+@pytest.mark.parametrize("k", [0, 4, 10])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (0.25, 0.25, 0.25, 0.25 + 1e-9, 0j, 0j),  # trace off by 1e-9
+        (0.25, 0.25, 0.25, 0.25, (0.25 + 1e-9) * cmath.exp(0.7j), 0j),  # inner block at -1e-9
+        (0.5 + 1e-9, 0.25, 0.25, -1e-9, 0j, 0j),  # outer block at -1e-9
+    ],
+    ids=["trace", "inner_block", "outer_block"],
+)
+def test_scan_names_unphysical_sample(monkeypatch, k, bad):
+    grid = TimeGrid(t_max=2.0, steps=11)
+    t_bad = grid.times()[k]
+    core = dynamics._evolve_x
+    monkeypatch.setattr(dynamics, "_evolve_x", lambda s, p, t: bad if t == t_bad else core(s, p, t))
+    with pytest.raises(ConsistencyError, match=rf"at sample {k} \(t={t_bad}\)"):
+        scan(preset_p_mixture("phi_plus", 0.6), CouplingParams(1.0, 0.4, 0.3, 0.8), grid)
 
 
 def test_c_difference_matches_oracle(rng):

@@ -254,6 +254,26 @@ def test_positivity_routes_agree(rng):
     assert agree == 500
     assert 0 < n_valid < 500  # the draw really exercises both outcomes
 
+    # on the boundary: z^2 = b c (1 + delta) puts the inner block minimum
+    # near -delta b c / (b + c) = -1.2e-10 delta / 1e-9, and a bare
+    # population sits at -1e-11 or -1e-9
+    b, c = 0.2, 0.3
+    boundary = [
+        ([0.25, b, c, 0.25], math.sqrt(b * c * (1.0 + delta)), 0.1, delta < 1e-9)
+        for delta in (1e-12, -1e-12, 1e-9, -1e-9, 1e-8, -1e-8)
+    ]
+    boundary += [([0.5 + eps, 0.25, 0.25, -eps], 0.0, 0.0, eps < 1e-10) for eps in (1e-11, 1e-9)]
+    for pops, z, w, expected in boundary:
+        try:
+            XState(a=pops[0], b=pops[1], c=pops[2], d=pops[3], z=z, w=w)
+            closed_ok = True
+        except PositivityError:
+            closed_ok = False
+        m = np.diag(pops).astype(complex)
+        m[1, 2] = m[2, 1] = z
+        m[0, 3] = m[3, 0] = w
+        assert closed_ok == bool(eigvals_hermitian(m)[0] >= -1e-10) == expected, (pops, z, w)
+
 
 def test_state_from_json_abcdzw():
     s = state_from_json({"abcdzw": [0.425, 0.075, 0.075, 0.425, 0.0, 0.35]})

@@ -76,3 +76,8 @@ def test_run_validation_input_validation():
         run_validation(seed=0.5, cases=20)
     with pytest.raises(RangeError):
         run_validation(seed=True, cases=20)
+
+
+def test_run_validation_rejects_negative_seed():
+    with pytest.raises(RangeError, match="non-negative"):
+        run_validation(seed=-1, cases=20)
