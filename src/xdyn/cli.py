@@ -8,6 +8,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -41,10 +42,6 @@ def _pair(value: complex) -> list[float]:
 
 def _cmatrix(m) -> list[list[list[float]]]:
     return [[_pair(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _parse_real(text: str, where: str) -> float:
@@ -166,33 +163,27 @@ def _cmd_evolve(ns: argparse.Namespace) -> tuple[str, int]:
     return json.dumps(payload, indent=2) + "\n", 0
 
 
+def _trace_columns(trace) -> list:
+    """(name, values or None) for each FidelityTrace field, in column order."""
+    return [(f.name, getattr(trace, f.name)) for f in dataclasses.fields(trace)]
+
+
 def _trace_csv(trace) -> str:
-    lines = ["t,f_numeric,f_closed,purity,c1_minus_c2"]
-    for k in range(len(trace.times)):
-        f_closed = _fmt(trace.f_closed[k]) if trace.f_closed is not None else ""
-        lines.append(
-            ",".join(
-                (
-                    _fmt(trace.times[k]),
-                    _fmt(trace.f_numeric[k]),
-                    f_closed,
-                    _fmt(trace.purity[k]),
-                    _fmt(trace.c1_minus_c2[k]),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    # "%.17g" % x is format(x, ".17g"); an absent column is an empty cell
+    cols = [col for _, col in _trace_columns(trace)]
+    row = ",".join("" if col is None else "%.17g" for col in cols)
+    rows = zip(*(col.tolist() for col in cols if col is not None))
+    return "\n".join(["t,f_numeric,f_closed,purity,c1_minus_c2", *(row % r for r in rows)]) + "\n"
 
 
 def _trace_json(trace) -> str:
-    payload = {
-        "times": [float(x) for x in trace.times],
-        "f_numeric": [float(x) for x in trace.f_numeric],
-        "f_closed": [float(x) for x in trace.f_closed] if trace.f_closed is not None else None,
-        "purity": [float(x) for x in trace.purity],
-        "c1_minus_c2": [float(x) for x in trace.c1_minus_c2],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    # json.dumps(payload, indent=2), which writes a float (scan's are finite) as float.__repr__
+    fields = (
+        f'  "{name}": null' if col is None
+        else f'  "{name}": [\n    ' + ",\n    ".join(map(float.__repr__, col.tolist())) + "\n  ]"
+        for name, col in _trace_columns(trace)
+    )
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def _cmd_scan(ns: argparse.Namespace) -> tuple[str, int]:

@@ -19,9 +19,7 @@ from .errors import (
     ConsistencyError,
     DomainError,
     InsufficientSpanError,
-    InvalidInputError,
     RangeError,
-    XdynError,
 )
 from .fidelity import EIG_FLOOR, TRACE_TOL, DensityMatrix, _block_min_eigenvalue, _clamp_fidelity
 from .fidelity import fidelity_bell_diagonal, is_bell_diagonal
@@ -34,10 +32,18 @@ STATIONARY_TOL = 1e-10
 
 COMMUTATOR_TOL = 1e-12
 
+# Largest grid a TimeGrid accepts: 50 times classify's 20001 samples.  A
+# scan holds a few dozen arrays of this length at once, about 170 MB.
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling of [0, t_max] with `steps` points, endpoints included."""
+    """Uniform sampling of [0, t_max] with `steps` points, endpoints included.
+
+    steps is at most MAX_STEPS, so a grid and the arrays scan builds on it
+    fit in memory.
+    """
 
     t_max: float
     steps: int
@@ -51,6 +57,8 @@ class TimeGrid:
             raise RangeError(f"TimeGrid.steps must be an int, got {self.steps!r}")
         if self.steps < 2:
             raise RangeError(f"TimeGrid.steps must be at least 2, got {self.steps}")
+        if self.steps > MAX_STEPS:
+            raise RangeError(f"TimeGrid.steps must be at most {MAX_STEPS}, got {self.steps}")
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.steps)
@@ -94,41 +102,51 @@ class StationarityVerdict:
     period: float | None = None
 
 
-def _evolve_x(s: states.XState, p: model.CouplingParams, t: float) -> tuple:
+def _evolve_x(s: states.XState, p: model.CouplingParams, t) -> tuple:
     """rho(t) as six numbers (a, b, c, d, z, w), z = rho[1, 2] and w = rho[0, 3].
 
-    The outer block mixes populations a, d with the coherence w through
-    mu+- and the anisotropy entry; the inner block is a rotation by
-    omega*t.  The populations are real, z and w complex.
+    t is a finite float or an array of them.  mu+- and delta_entry mix a, d and
+    w, the inner block rotates by omega*t.  Complex products are written out in
+    real arithmetic, in evaluation order, so a float and an array give the same bits.
     """
-    pr = model.propagator(p, t)
     f = model.frequencies(p)
-    mu_p, mu_m, de = pr.mu_plus, pr.mu_minus, pr.delta_entry
-    cos_o = math.cos(f.omega * t)
-    sin_o = math.sin(f.omega * t)
-
-    mu_prod = (mu_p * mu_m).real
-    de_sq = (de * de).real
-    de_mu_diff = (de * (mu_p - mu_m)).real
+    c, u, v = model._outer_entries(p, f, t)  # mu+- = c -+ i u, delta_entry = i v
+    cos_o, sin_o = np.cos(f.omega * t), np.sin(f.omega * t)
+    sin_sq = np.float_power(sin_o, 2)  # libm pow, as ** is on a float; ** squares an array
+    mu_prod = c * c + u * u  # mu+ mu-
+    de_sq = -(v * v)  # delta_entry^2
+    de_mu_diff = -2.0 * v * u  # delta_entry (mu+ - mu-)
+    ad_v = (s.a - s.d) * v
     return (
         s.a * mu_prod - s.d * de_sq - s.w * de_mu_diff,
-        s.b - (s.b - s.c) * sin_o**2,
-        s.c + (s.b - s.c) * sin_o**2,
+        s.b - (s.b - s.c) * sin_sq,
+        s.c + (s.b - s.c) * sin_sq,
         s.d * mu_prod - s.a * de_sq + s.w * de_mu_diff,
-        complex(s.z, (s.b - s.c) * cos_o * sin_o),
-        s.w * (mu_m * mu_m - de_sq) + (s.a - s.d) * de * mu_m,
+        s.z + 1j * ((s.b - s.c) * cos_o * sin_o),
+        # w (mu-^2 - delta_entry^2) + (a - d) delta_entry mu-
+        s.w * (c * c - u * u - de_sq) + ad_v * u + 1j * (s.w * (-2.0 * c * u) + ad_v * c),
     )
 
 
-def _x_overlap(x, y) -> float:
-    """Tr(rho sigma) of two X states given as six numbers each."""
-    a, b, c, d, z, w = (u * v.conjugate() for u, v in zip(x, y))
-    return (a + b + c + d + 2.0 * (z + w)).real
+def _x_overlap(x, y):
+    """Tr(rho sigma) of two X states given as six numbers each (floats or arrays)."""
+    a, b, c, d, z, w = (u.real * v.real + u.imag * v.imag for u, v in zip(x, y))
+    return a + b + c + d + 2.0 * (z + w)
+
+
+def _checked_fidelity(x0, xt) -> tuple:
+    """Purity of xt and fidelity to x0 (six numbers each) after trace, floor and clamp checks."""
+    a, b, c, d, z, w = xt
+    min_eig = np.minimum(_block_min_eigenvalue(a, d, w), _block_min_eigenvalue(b, c, z))
+    if not np.all((abs(a + b + c + d - 1.0) <= TRACE_TOL) & (min_eig >= EIG_FLOOR)):
+        raise ConsistencyError(f"unphysical: trace {a + b + c + d}, min eig {min_eig}")
+    pur = _x_overlap(xt, xt)
+    return pur, _clamp_fidelity(_x_overlap(x0, xt) / np.sqrt(_x_overlap(x0, x0) * pur))
 
 
 def evolve_closed(s: states.XState, p: model.CouplingParams, t: float) -> DensityMatrix:
     """rho(t) from the closed forms, validated like any other density matrix."""
-    a, b, c, d, z, w = _evolve_x(s, p, t)
+    a, b, c, d, z, w = _evolve_x(s, p, model._finite_time(t, "evolve_closed"))
     x = [[a, 0, 0, w], [0, b, z, 0], [0, z.conjugate(), c, 0], [w.conjugate(), 0, 0, d]]
     return DensityMatrix(np.array(x, dtype=complex))
 
@@ -138,8 +156,7 @@ def evolve_oracle(s: states.XState, p: model.CouplingParams, t: float) -> Densit
 
     Shares no code with the closed forms; this is the referee.
     """
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise InvalidInputError(f"evolve_oracle: t must be finite, got {t!r}")
+    t = model._finite_time(t, "evolve_oracle")
     u = linalg.expm(-1j * t * model.hamiltonian(p))
     rho0 = states.xstate_matrix(s)
     return DensityMatrix(u @ rho0 @ linalg.dagger(u))
@@ -147,39 +164,32 @@ def evolve_oracle(s: states.XState, p: model.CouplingParams, t: float) -> Densit
 
 def overlap_evolved(s: states.XState, p: model.CouplingParams, t: float) -> float:
     """Tr(rho(0) rho(t)) straight from the six evolved numbers."""
+    t = model._finite_time(t, "overlap_evolved")
     return _x_overlap((s.a, s.b, s.c, s.d, s.z, s.w), _evolve_x(s, p, t))
 
 
 def scan(s: states.XState, p: model.CouplingParams, grid: TimeGrid) -> FidelityTrace:
     """Fidelity, purity and c1 - c2 = 4 Re w(t) sampled along a time grid.
 
-    Each sample evolves six numbers, checks their trace and block floor and
-    reads all three overlaps from one formula; f_closed is added for a
-    Bell-diagonal state.  Failures are re-raised with the sample index.
+    One array call of the six-number core evaluates the whole grid and is
+    checked once; a failure is re-raised naming the first sample that fails
+    the checks.  f_closed is added for a Bell-diagonal state.
     """
     x0 = (s.a, s.b, s.c, s.d, s.z, s.w)
-    pur0 = _x_overlap(x0, x0)
     v0 = states.to_bloch(s)
-    bell = is_bell_diagonal(v0)
     times = grid.times()
-    n = len(times)
-    f_num = np.empty(n)
-    f_clo = np.empty(n) if bell else None
-    pur = np.empty(n)
-    cdiff = np.empty(n)
-    for k, t in enumerate(times.tolist()):
-        try:
-            a, b, c, d, z, w = xt = _evolve_x(s, p, t)
-            min_eig = min(_block_min_eigenvalue(a, d, w), _block_min_eigenvalue(b, c, z))
-            if abs(a + b + c + d - 1.0) > TRACE_TOL or min_eig < EIG_FLOOR:
-                raise ConsistencyError(f"unphysical: trace {a + b + c + d}, min eig {min_eig}")
-            pur[k] = _x_overlap(xt, xt)
-            f_num[k] = _clamp_fidelity(_x_overlap(x0, xt) / math.sqrt(pur0 * pur[k]))
-        except XdynError as exc:
-            raise type(exc)(f"scan: evolution failed at sample {k} (t={t}): {exc}") from exc
-        cdiff[k] = 4.0 * w.real
-        if bell:
-            f_clo[k] = fidelity_bell_diagonal(v0, p, t)
+    xt = _evolve_x(s, p, times)
+    try:
+        pur, f_num = _checked_fidelity(x0, xt)
+    except ConsistencyError:
+        for k, t in enumerate(times.tolist()):  # the same checks per sample name the first failure
+            try:
+                _checked_fidelity(x0, [x[k] for x in xt])
+            except ConsistencyError as exc:
+                raise ConsistencyError(f"scan: evolution failed at sample {k} (t={t}): {exc}") from exc
+        raise
+    f_clo = fidelity_bell_diagonal(v0, p, times) if is_bell_diagonal(v0) else None
+    cdiff = 4.0 * xt[5].real
     return FidelityTrace(times=times, f_numeric=f_num, f_closed=f_clo, purity=pur, c1_minus_c2=cdiff)
 
 
@@ -194,6 +204,7 @@ def c_difference(v: states.BlochVector, p: model.CouplingParams, t: float) -> fl
     if not is_bell_diagonal(v):
         raise DomainError("c_difference: defined only for Bell-diagonal states")
     sign = 1.0 if v.c1 - v.c2 >= 0 else -1.0
+    t = model._finite_time(t, "c_difference")
     return sign * 4.0 * _evolve_x(states.from_bloch(v), p, t)[5].real
 
 
@@ -206,6 +217,7 @@ def c_difference_predicted(v: states.BlochVector, p: model.CouplingParams, t: fl
     """
     if not is_bell_diagonal(v):
         raise DomainError("c_difference_predicted: defined only for Bell-diagonal states")
+    t = model._finite_time(t, "c_difference_predicted")
     f = model.frequencies(p)
     pulse = p.field * t * model.sinc(f.eta * t)
     return (v.c1 - v.c2) * (1.0 - 2.0 * pulse * pulse)

@@ -32,9 +32,25 @@ BELL_DIAGONAL_TOL = 1e-12
 _OFF_X = np.array([1, 2, 4, 7, 8, 11, 13, 14])
 
 
-def _block_min_eigenvalue(x: float, y: float, g) -> float:
-    """Smaller eigenvalue of [[x, g], [g*, y]]: the one X-block positivity rule."""
-    return (x + y) / 2.0 - math.hypot((x - y) / 2.0, abs(g))
+def _block_min_eigenvalue(x, y, g):
+    """Smaller eigenvalue of [[x, g], [g*, y]]: the one X-block positivity rule.
+
+    Takes floats or arrays.  The root is mean - r, with mean = (x + y)/2 and
+    r = hypot((x - y)/2, |g|).  For mean > 0 it is taken as the product of
+    the roots over the larger one, (x y - |g|^2)/(mean + r), because mean - r
+    cancels there and reads a block whose minimum sits at the floor one
+    rounding below it.  The branch is picked with 0/1 masks rather than
+    np.where, which would cost microseconds on every float call; the unused
+    quotient is built from zeroed inputs, so a product that overflows there
+    cannot turn the other branch into 0 * inf = NaN.
+    """
+    g = abs(g)
+    mean = (x + y) / 2.0
+    r = abs((x - y) / 2.0 + 1j * g)  # hypot, without a numpy call on floats
+    pos = mean > 0.0
+    neg = mean <= 0.0
+    xp, gp = x * pos, g * pos
+    return (xp * y - gp * g) / ((mean + r) * pos + neg) + neg * (mean - r)
 
 
 def _x_min_eigenvalue(m: np.ndarray) -> float:
@@ -45,10 +61,11 @@ def _x_min_eigenvalue(m: np.ndarray) -> float:
     reads the whole matrix.
     """
     r = m.tolist()
-    return min(
+    outer, inner = (
         _block_min_eigenvalue(r[p][p].real, r[q][q].real, abs(r[p][q] + r[q][p].conjugate()) / 2.0)
         for p, q in ((0, 3), (1, 2))
     )
+    return np.minimum(outer, inner)  # a NaN block stays NaN, where min() could drop it
 
 
 @dataclass(frozen=True)
@@ -77,7 +94,7 @@ class DensityMatrix:
             min_eig = linalg.eigvals_hermitian(m, tol=HERMITICITY_TOL)[0]
         else:
             min_eig = _x_min_eigenvalue(m)
-        if min_eig < EIG_FLOOR:
+        if not min_eig >= EIG_FLOOR:  # NaN fails too
             raise ConsistencyError(f"DensityMatrix: min eigenvalue {min_eig} below {EIG_FLOOR}")
         object.__setattr__(self, "matrix", m)
 
@@ -93,15 +110,15 @@ def fidelity(r: DensityMatrix, s: DensityMatrix) -> float:
     return _clamp_fidelity(num / math.sqrt(purity(r) * purity(s)))
 
 
-def _clamp_fidelity(value: float) -> float:
-    """A fidelity value clamped to [0, 1].
+def _clamp_fidelity(value):
+    """Fidelity values, a float or an array, clamped to [0, 1].
 
     The clamp only absorbs round-off: a value outside [0, 1] by more than
     1e-12 raises ConsistencyError instead of being silently clipped.
     """
-    if value < -CLAMP_TOL or value > 1.0 + CLAMP_TOL:
+    if np.count_nonzero((value < -CLAMP_TOL) | (value > 1.0 + CLAMP_TOL)):
         raise ConsistencyError(f"fidelity: value {value} outside [0, 1] beyond round-off")
-    return min(max(value, 0.0), 1.0)
+    return np.minimum(np.maximum(value, 0.0), 1.0)
 
 
 def is_bell_diagonal(v) -> bool:
@@ -109,7 +126,7 @@ def is_bell_diagonal(v) -> bool:
     return max(abs(v.s1), abs(v.s2)) <= BELL_DIAGONAL_TOL
 
 
-def fidelity_bell_diagonal(v, p: model.CouplingParams, t: float) -> float:
+def fidelity_bell_diagonal(v, p: model.CouplingParams, t):
     """Closed-form fidelity between a Bell-diagonal state and its evolution.
 
     f(t) = 1 - (c1 - c2)^2 B^2 sin^2(eta t) / ((1 + c1^2 + c2^2 + c3^2) eta^2),
@@ -118,12 +135,13 @@ def fidelity_bell_diagonal(v, p: model.CouplingParams, t: float) -> float:
     Args:
         v: BlochVector with s1 = s2 = 0 (DomainError otherwise).
         p: couplings and field.
-        t: evolution time.
+        t: evolution time, a float or an array of times.
     """
     if not is_bell_diagonal(v):
         raise DomainError(
             "fidelity_bell_diagonal: defined only for Bell-diagonal states (s1 = s2 = 0)"
         )
+    t = model._finite_time(t, "fidelity_bell_diagonal")
     f = model.frequencies(p)
     pulse = p.field * t * model.sinc(f.eta * t)  # B sin(eta t) / eta
     denom = 1.0 + v.c1**2 + v.c2**2 + v.c3**2

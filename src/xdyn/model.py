@@ -15,16 +15,17 @@ import numpy as np
 from . import linalg
 from .errors import InvalidInputError
 
-# Below this, sin(x)/x switches to its series; the quadratic term alone
-# already puts the error near 1e-17.
+# Below this, sin(x)/x switches to its series 1 - x^2/6, which rounds to
+# exactly 1.0 there: x^2/6 < 1.7e-17 is under half an ulp of 1.
 SINC_SERIES_THRESHOLD = 1e-8
 
 
-def sinc(x: float) -> float:
-    """sin(x)/x with a series branch so the x -> 0 limit is smooth."""
-    if abs(x) < SINC_SERIES_THRESHOLD:
-        return 1.0 - x * x / 6.0
-    return math.sin(x) / x
+def sinc(x):
+    """sin(x)/x for a float or an array, 1 below SINC_SERIES_THRESHOLD.  0/1 masks
+    pick the branch (np.where costs microseconds per float) and keep x = 0 out of the divisor.
+    A non-finite x gives NaN, as np.sin does; the public callers reject a non-finite t."""
+    small = abs(x) < SINC_SERIES_THRESHOLD
+    return small + (abs(x) >= SINC_SERIES_THRESHOLD) * (np.sin(x) / (x + small))
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,23 @@ def spectrum(p: CouplingParams) -> Spectrum:
     return Spectrum(energies=energies, eigenvectors=vecs, norms=norms)
 
 
+def _finite_time(t, where: str):
+    """t, if it is a finite number or an array of them; InvalidInputError otherwise."""
+    if isinstance(t, np.ndarray) and np.isfinite(t).all():
+        return t
+    if not (isinstance(t, (int, float)) and math.isfinite(t)):
+        raise InvalidInputError(f"{where}: t must be finite, got {t!r}")
+    return t
+
+
+def _outer_entries(p: CouplingParams, f: DerivedFrequencies, t):
+    """cos(eta t), B t sinc(eta t) and Delta t sinc(eta t), for t a float or an
+    array: mu+- = cos -+ i B t sinc and delta_entry = i Delta t sinc."""
+    x = f.eta * t
+    sinc_x = sinc(x)
+    return np.cos(x), p.field * t * sinc_x, f.delta * t * sinc_x
+
+
 @dataclass(frozen=True)
 class Propagator:
     """Closed-form time evolution operator.
@@ -165,15 +183,12 @@ def propagator(p: CouplingParams, t: float, include_global_phase: bool = False) 
         Propagator with unit-modulus block identities intact at eta = 0,
         courtesy of the sinc forms.
     """
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise InvalidInputError(f"propagator: t must be finite, got {t!r}")
+    t = _finite_time(t, "propagator")
     f = frequencies(p)
-    x = f.eta * t
-    sinc_x = sinc(x)
-    cos_x = math.cos(x)
-    mu_plus = complex(cos_x, p.field * t * sinc_x)
+    cos_x, b_t_sinc, delta_t_sinc = _outer_entries(p, f, t)
+    mu_plus = complex(cos_x, b_t_sinc)
     mu_minus = mu_plus.conjugate()
-    delta_entry = complex(0.0, f.delta * t * sinc_x)
+    delta_entry = complex(0.0, delta_t_sinc)
 
     inner_phase = cmath.exp(1j * p.jz * t)
     cos_o = math.cos(f.omega * t)

@@ -69,9 +69,9 @@ class XState:
         total = self.a + self.b + self.c + self.d
         if abs(total - 1.0) > TRACE_TOL:
             raise NormalizationError(f"populations must sum to 1, got {total!r}")
-        if _block_min_eigenvalue(self.b, self.c, self.z) < EIG_FLOOR:
+        if not _block_min_eigenvalue(self.b, self.c, self.z) >= EIG_FLOOR:
             raise PositivityError("inner block not positive: z^2 exceeds b*c")
-        if _block_min_eigenvalue(self.a, self.d, self.w) < EIG_FLOOR:
+        if not _block_min_eigenvalue(self.a, self.d, self.w) >= EIG_FLOOR:
             raise PositivityError("outer block not positive: w^2 exceeds a*d")
 
     @property

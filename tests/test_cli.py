@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from xdyn import CouplingParams, evolve_closed, preset_p_mixture
-from xdyn.cli import main
+from xdyn import CouplingParams, TimeGrid, XState, evolve_closed, preset_p_mixture, scan
+from xdyn.cli import _trace_csv, _trace_json, main
 
 ISO = ["--jx", "1", "--jy", "1", "--jz", "1", "--field", "0"]
 
@@ -111,6 +111,46 @@ def test_negative_exponent_t_max_reaches_grid_check(capsys):
         code, out, err = run_cli(capsys, "scan", *ISO, "--state", "werner:0.5", *t_max)
         assert code == 1 and out == ""
         assert "t_max must be finite and positive, got -25.0" in err
+
+
+def test_scan_refuses_grid_beyond_max_steps(capsys):
+    code, out, err = run_cli(capsys, "scan", *ISO, "--state", "werner:0.5", "--steps", "1000000000000")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "at most 1000000," in err
+
+
+@pytest.mark.parametrize(
+    "coupling",
+    [ISO, ["--jx", "1", "--jy", "0.4", "--jz", "0.5", "--field", "0"]],
+    ids=["eta_zero", "zero_field"],
+)
+def test_scan_at_eta_zero_and_zero_field_is_quiet(capsys, coupling):
+    # sinc(0) on every sample or at t = 0, and a pure state's all-zero inner
+    # block, must not raise numpy's divide or invalid warnings
+    for state in ("phi_plus_mix:0.7", "phi_plus_mix:1"):
+        for fmt in ("csv", "json"):
+            code, out, err = run_cli(
+                capsys, "scan", *coupling, "--state", state, "--steps", "50", "--format", fmt
+            )
+            assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize(
+    "state",
+    [preset_p_mixture("phi_plus", 0.7), XState(a=0.5, b=0.2, c=0.2, d=0.1, z=0.1, w=0.1)],
+    ids=["bell", "generic"],
+)
+def test_trace_rendering_matches_per_value_formatting(state):
+    trace = scan(state, CouplingParams(1.0, 0.4, 0.5, 0.8), TimeGrid(t_max=7.0, steps=301))
+    names = ["times", "f_numeric", "f_closed", "purity", "c1_minus_c2"]
+    cols = [getattr(trace, name) for name in names]
+    rows = [
+        ",".join("" if col is None else format(float(col[k]), ".17g") for col in cols)
+        for k in range(len(trace.times))
+    ]
+    assert _trace_csv(trace) == "\n".join(["t,f_numeric,f_closed,purity,c1_minus_c2", *rows]) + "\n"
+    payload = {n: None if col is None else [float(x) for x in col] for n, col in zip(names, cols)}
+    assert _trace_json(trace) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_non_numeric_dash_token_is_still_a_usage_error(capsys):

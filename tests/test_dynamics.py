@@ -28,6 +28,7 @@ from xdyn import (
     evolve_oracle,
     expm,
     fidelity,
+    fidelity_bell_diagonal,
     hamiltonian,
     nominal_period,
     overlap_evolved,
@@ -101,6 +102,21 @@ def test_evolve_rejects_non_finite_time(rng):
         evolve_closed(s, p, math.inf)
     with pytest.raises(InvalidInputError):
         evolve_oracle(s, p, math.nan)
+
+
+def test_one_point_calls_reject_non_finite_time(rng):
+    s, p = random_xstate(rng), random_params(rng)
+    v = to_bloch(random_bell_diagonal(rng))
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="overlap_evolved: t must be finite"):
+            overlap_evolved(s, p, t)
+        with pytest.raises(InvalidInputError, match="c_difference: t must be finite"):
+            c_difference(v, p, t)
+        with pytest.raises(InvalidInputError, match="c_difference_predicted: t must be finite"):
+            c_difference_predicted(v, p, t)
+        for times in (t, np.array([0.0, t])):
+            with pytest.raises(InvalidInputError, match="fidelity_bell_diagonal: t must be finite"):
+                fidelity_bell_diagonal(v, p, times)
 
 
 def test_overlap_evolved_routes(rng):
@@ -187,21 +203,52 @@ def test_scan_matches_matrix_route(rng):
 
 @pytest.mark.parametrize("k", [0, 4, 10])
 @pytest.mark.parametrize(
-    "bad",
+    "mix, bad, fault",
     [
-        (0.25, 0.25, 0.25, 0.25 + 1e-9, 0j, 0j),  # trace off by 1e-9
-        (0.25, 0.25, 0.25, 0.25, (0.25 + 1e-9) * cmath.exp(0.7j), 0j),  # inner block at -1e-9
-        (0.5 + 1e-9, 0.25, 0.25, -1e-9, 0j, 0j),  # outer block at -1e-9
+        (0.6, (0.25, 0.25, 0.25, 0.25 + 1e-9, 0j, 0j), "unphysical"),  # trace off by 1e-9
+        # inner block at -1e-9
+        (0.6, (0.25, 0.25, 0.25, 0.25, (0.25 + 1e-9) * cmath.exp(0.7j), 0j), "unphysical"),
+        (0.6, (0.5 + 1e-9, 0.25, 0.25, -1e-9, 0j, 0j), "unphysical"),  # outer block at -1e-9
+        # outer block at -5e-11 passes the floor, but its overlap with the
+        # pure initial Bell state is -5e-11: the fidelity clamp fails
+        (1.0, (0.5, 0.0, 0.0, 0.5, 0j, -0.5 - 5e-11 + 0j), "fidelity: value"),
     ],
-    ids=["trace", "inner_block", "outer_block"],
+    ids=["trace", "inner_block", "outer_block", "clamp"],
 )
-def test_scan_names_unphysical_sample(monkeypatch, k, bad):
+def test_scan_names_unphysical_sample(monkeypatch, k, mix, bad, fault):
     grid = TimeGrid(t_max=2.0, steps=11)
     t_bad = grid.times()[k]
     core = dynamics._evolve_x
-    monkeypatch.setattr(dynamics, "_evolve_x", lambda s, p, t: bad if t == t_bad else core(s, p, t))
-    with pytest.raises(ConsistencyError, match=rf"at sample {k} \(t={t_bad}\)"):
-        scan(preset_p_mixture("phi_plus", 0.6), CouplingParams(1.0, 0.4, 0.3, 0.8), grid)
+
+    def faulty(s, p, t):  # the array kernel's output with sample k replaced
+        xt = tuple(np.array(x) for x in core(s, p, t))
+        for x, value in zip(xt, bad):
+            x[k] = value
+        return xt
+
+    monkeypatch.setattr(dynamics, "_evolve_x", faulty)
+    with pytest.raises(ConsistencyError, match=rf"at sample {k} \(t={t_bad}\)") as exc:
+        scan(preset_p_mixture("phi_plus", mix), CouplingParams(1.0, 0.4, 0.3, 0.8), grid)
+    assert fault in str(exc.value)
+
+
+def test_time_grid_step_limit():
+    # checked on construction, before any grid is built
+    assert TimeGrid(t_max=1.0, steps=dynamics.MAX_STEPS).steps == dynamics.MAX_STEPS
+    with pytest.raises(RangeError, match=f"at most {dynamics.MAX_STEPS}"):
+        TimeGrid(t_max=1.0, steps=dynamics.MAX_STEPS + 1)
+
+
+def test_scan_kernel_matches_one_point_calls(rng):
+    # the grid evaluation and the one-point calls are the same arithmetic,
+    # over enough samples that a squaring which rounds unlike pow shows up
+    for k in range(100):
+        s = random_bell_diagonal(rng) if k % 2 else random_xstate(rng)
+        p = random_params(rng)
+        times = TimeGrid(t_max=float(rng.uniform(1.0, 10.0)), steps=51).times()
+        grid = dynamics._evolve_x(s, p, times)
+        for j, t in enumerate(times.tolist()):
+            assert [x[j] for x in grid] == list(dynamics._evolve_x(s, p, t))
 
 
 def test_c_difference_matches_oracle(rng):

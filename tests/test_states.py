@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from xdyn import (
     BlochVector,
+    ConsistencyError,
+    DensityMatrix,
     InvalidInputError,
     NormalizationError,
     PositivityError,
@@ -256,13 +258,13 @@ def test_positivity_routes_agree(rng):
 
     # on the boundary: z^2 = b c (1 + delta) puts the inner block minimum
     # near -delta b c / (b + c) = -1.2e-10 delta / 1e-9, and a bare
-    # population sits at -1e-11 or -1e-9
+    # population sits at -1e-11, exactly at the -1e-10 floor, or at -1e-9
     b, c = 0.2, 0.3
     boundary = [
         ([0.25, b, c, 0.25], math.sqrt(b * c * (1.0 + delta)), 0.1, delta < 1e-9)
         for delta in (1e-12, -1e-12, 1e-9, -1e-9, 1e-8, -1e-8)
     ]
-    boundary += [([0.5 + eps, 0.25, 0.25, -eps], 0.0, 0.0, eps < 1e-10) for eps in (1e-11, 1e-9)]
+    boundary += [([0.5 + eps, 0.25, 0.25, -eps], 0.0, 0.0, eps <= 1e-10) for eps in (1e-11, 1e-10, 1e-9)]
     for pops, z, w, expected in boundary:
         try:
             XState(a=pops[0], b=pops[1], c=pops[2], d=pops[3], z=z, w=w)
@@ -272,7 +274,28 @@ def test_positivity_routes_agree(rng):
         m = np.diag(pops).astype(complex)
         m[1, 2] = m[2, 1] = z
         m[0, 3] = m[3, 0] = w
-        assert closed_ok == bool(eigvals_hermitian(m)[0] >= -1e-10) == expected, (pops, z, w)
+        try:
+            DensityMatrix(m)  # X-shaped, so its blocks are read in closed form too
+            matrix_ok = True
+        except ConsistencyError:
+            matrix_ok = False
+        assert closed_ok == matrix_ok == bool(eigvals_hermitian(m)[0] >= -1e-10) == expected, (pops, z, w)
+
+    # huge entries whose products overflow (Jacobi's off-diagonal norm overflows
+    # too): a block with mean <= 0 still reads its minimum as mean - r, and
+    # neither route may see a NaN, which passes a plain floor comparison
+    for pops, z, w in (
+        ([0.5, 0.0, 0.0, 0.5], 1e160, 0.0),
+        ([0.5, 0.0, 0.0, 0.5], 0.0, 1e160),
+        ([0.0, 1e200, -1e200, 1.0], 0.0, 0.0),
+    ):
+        with pytest.raises(PositivityError):
+            XState(a=pops[0], b=pops[1], c=pops[2], d=pops[3], z=z, w=w)
+    for k, min_eig in (((1, 2), "-1e\\+160"), ((0, 3), "-inf")):
+        m = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+        m[k] = m[k[::-1]] = 1e160
+        with pytest.raises(ConsistencyError, match=f"min eigenvalue {min_eig} below"):
+            DensityMatrix(m)
 
 
 def test_state_from_json_abcdzw():
