@@ -292,10 +292,7 @@ def classify(s: states.XState, p: model.CouplingParams) -> StationarityVerdict:
     trace = scan(s, p, TimeGrid(t_max=t_max, steps=steps))
     if float(np.max(1.0 - trace.f_numeric)) < STATIONARY_TOL:
         return StationarityVerdict(kind="stationary", reason="generic")
-    period = detect_period(trace)
-    if period is None:
-        return StationarityVerdict(kind="stationary", reason="generic")
-    return StationarityVerdict(kind="periodic", reason="generic", period=period)
+    return StationarityVerdict(kind="periodic", reason="generic", period=detect_period(trace))
 
 
 def detect_period(trace: FidelityTrace, tol: float = STATIONARY_TOL) -> float | None:

@@ -33,10 +33,6 @@ class ConsistencyError(XdynError):
     """An internally computed quantity violated an invariant it must satisfy."""
 
 
-class ConvergenceError(XdynError):
-    """An iterative routine exhausted its iteration budget."""
-
-
 class InsufficientSpanError(XdynError):
     """A trace does not cover enough structure to extract the requested feature."""
 

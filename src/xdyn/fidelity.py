@@ -57,7 +57,7 @@ def _x_min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of an X-shaped 4x4 matrix, in closed form.
 
     The spectrum is that of the blocks {0, 3} and {1, 2}.  Each block is
-    read from the Hermitian part (m + m^dagger) / 2, as the Jacobi route
+    read from the Hermitian part (m + m^dagger) / 2, as the general route
     reads the whole matrix.
     """
     r = m.tolist()
@@ -76,9 +76,9 @@ class DensityMatrix:
     eigenvalue above -1e-10.  The minimum eigenvalue of an X-shaped matrix
     (all eight off-X entries exactly zero, as the dynamics keeps them) comes
     from its two 2x2 blocks in closed form; any other matrix goes through
-    the in-house Jacobi eigensolver.  Violations raise ConsistencyError,
-    since every code path that builds one is supposed to produce a
-    physical state.
+    numpy's LAPACK eigvalsh on its Hermitian part, which shares no code
+    with the block rule.  Violations raise ConsistencyError, since every
+    code path that builds one is supposed to produce a physical state.
     """
 
     matrix: np.ndarray
@@ -91,7 +91,7 @@ class DensityMatrix:
         if abs(trace - 1.0) > TRACE_TOL:
             raise ConsistencyError(f"DensityMatrix: trace must be 1, got {trace}")
         if np.count_nonzero(m.take(_OFF_X)):
-            min_eig = linalg.eigvals_hermitian(m, tol=HERMITICITY_TOL)[0]
+            min_eig = np.linalg.eigvalsh((m + linalg.dagger(m)) / 2.0)[0]
         else:
             min_eig = _x_min_eigenvalue(m)
         if not min_eig >= EIG_FLOOR:  # NaN fails too

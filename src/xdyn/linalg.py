@@ -1,11 +1,14 @@
-"""Dense complex 4x4 matrix helpers and the two numerical workhorses.
+"""Dense complex 4x4 matrix helpers and the series matrix exponential.
 
-Everything here is deliberately self-contained: ``expm`` (scaling and
-squaring with a truncated Taylor series) and ``eigvals_hermitian`` (cyclic
-Jacobi sweeps) are the ground-truth routes the rest of the package is
-checked against, so they must not share code with the closed forms they
-arbitrate.  Matrices are plain numpy arrays of shape (4, 4); the dimension
-is fixed because the physics upstream never needs anything else.
+``expm`` (scaling and squaring with a truncated Taylor series) is the
+referee every closed form for the propagator and the evolved state is
+checked against, so it shares no code with the closed forms it
+arbitrates.  Spectra of matrices that are not X-shaped come from numpy's
+LAPACK ``eigvalsh``, which likewise shares none; the in-house Jacobi
+solver that used to compute them is gone, with the exception it raised
+when its sweeps ran out.  Matrices are plain numpy arrays of shape (4, 4);
+the dimension is fixed because the physics upstream never needs anything
+else.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError
+from .errors import InvalidInputError
 
 DIM = 4
 
@@ -31,11 +34,8 @@ PAULI_ZZ = np.kron(PAULI_Z, PAULI_Z)
 PAULI_ZI = np.kron(PAULI_Z, ID2)
 PAULI_IZ = np.kron(ID2, PAULI_Z)
 
-# Default accuracy target for the iterative routines.
+# Default truncation target of expm.
 DEFAULT_TOL = 1e-12
-
-# Cap on Jacobi sweeps; quadratic convergence makes hitting it pathological.
-JACOBI_MAX_SWEEPS = 64
 
 
 def as_matrix4(m, where: str = "matrix") -> np.ndarray:
@@ -69,11 +69,6 @@ def max_abs(m: np.ndarray) -> float:
 def frobenius(m: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(m))
-
-
-def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two single-qubit operators."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def expm(m, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -117,66 +112,6 @@ def expm(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     for _ in range(s):
         result = result @ result
     return result
-
-
-def _off_diagonal_mass(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def eigvals_hermitian(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of a Hermitian 4x4 matrix via cyclic Jacobi rotations.
-
-    Each rotation annihilates one off-diagonal pivot; sweeps repeat until
-    the off-diagonal Frobenius mass drops to tol.  Exceeding the sweep cap
-    raises rather than returning a half-converged answer.
-
-    Args:
-        m: Hermitian 4x4 matrix (Hermitian within tol in max-norm).
-        tol: convergence target and Hermiticity tolerance, positive.
-
-    Returns:
-        The four eigenvalues, ascending, as a float array.
-    """
-    a = as_matrix4(m, "eigvals_hermitian")
-    if not (tol > 0):
-        raise InvalidInputError(f"eigvals_hermitian: tol must be positive, got {tol}")
-    if max_abs(a - dagger(a)) > tol:
-        raise InvalidInputError("eigvals_hermitian: matrix is not Hermitian within tol")
-    a = (a + dagger(a)) / 2.0
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_diagonal_mass(a) <= tol:
-            return np.sort(np.diag(a).real)
-        for p in range(DIM - 1):
-            for q in range(p + 1, DIM):
-                apq = a[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Right-multiply by the rotation, then left-multiply by its
-                # adjoint; only rows/columns p and q move.
-                col_p = c * a[:, p] - s * np.conj(phase) * a[:, q]
-                col_q = s * phase * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = c * a[p, :] - s * phase * a[q, :]
-                row_q = s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-        a = (a + dagger(a)) / 2.0
-
-    if _off_diagonal_mass(a) <= tol:
-        return np.sort(np.diag(a).real)
-    raise ConvergenceError(
-        f"eigvals_hermitian: no convergence in {JACOBI_MAX_SWEEPS} sweeps"
-    )
 
 
 def trace_product(a, b) -> complex:

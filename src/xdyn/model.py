@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInputError
+from .errors import InvalidInputError, RangeError
 
 # Below this, sin(x)/x switches to its series 1 - x^2/6, which rounds to
 # exactly 1.0 there: x^2/6 < 1.7e-17 is under half an ulp of 1.
@@ -23,7 +23,7 @@ SINC_SERIES_THRESHOLD = 1e-8
 def sinc(x):
     """sin(x)/x for a float or an array, 1 below SINC_SERIES_THRESHOLD.  0/1 masks
     pick the branch (np.where costs microseconds per float) and keep x = 0 out of the divisor.
-    A non-finite x gives NaN, as np.sin does; the public callers reject a non-finite t."""
+    A non-finite x gives NaN, as np.sin does; the evolution routes refuse such a t (_finite_phases)."""
     small = abs(x) < SINC_SERIES_THRESHOLD
     return small + (abs(x) >= SINC_SERIES_THRESHOLD) * (np.sin(x) / (x + small))
 
@@ -146,9 +146,28 @@ def _finite_time(t, where: str):
     return t
 
 
+def _finite_phases(p: CouplingParams, f: DerivedFrequencies, t) -> None:
+    """RangeError unless eta t, |omega| t and jz t are finite at every time.
+
+    t is a float or a sorted array, whose largest |t| is at one end, so
+    the check costs one scalar however long the grid.  All three products
+    are finite exactly when the largest is, and Python floats overflow to
+    inf without the RuntimeWarning numpy scalars raise.
+    """
+    t = max(abs(float(t[0])), abs(float(t[-1]))) if isinstance(t, np.ndarray) else float(t)
+    if not math.isfinite(max(f.eta, abs(f.omega), abs(p.jz)) * t):
+        raise RangeError(
+            f"t = {t} overflows a phase: eta*t, |omega|*t and jz*t must be finite "
+            f"(eta = {f.eta}, omega = {f.omega}, jz = {p.jz})"
+        )
+
+
 def _outer_entries(p: CouplingParams, f: DerivedFrequencies, t):
-    """cos(eta t), B t sinc(eta t) and Delta t sinc(eta t), for t a float or an
-    array: mu+- = cos -+ i B t sinc and delta_entry = i Delta t sinc."""
+    """cos(eta t), B t sinc(eta t) and Delta t sinc(eta t), for t a float or a
+    sorted array: mu+- = cos -+ i B t sinc and delta_entry = i Delta t sinc.
+    propagator and dynamics._evolve_x both start here, so both refuse a t
+    whose phases overflow before evaluating any of them."""
+    _finite_phases(p, f, t)
     x = f.eta * t
     sinc_x = sinc(x)
     return np.cos(x), p.field * t * sinc_x, f.delta * t * sinc_x
@@ -175,7 +194,7 @@ def propagator(p: CouplingParams, t: float, include_global_phase: bool = False) 
 
     Args:
         p: couplings and field.
-        t: evolution time (any finite real).
+        t: evolution time, finite, with eta t, |omega| t and jz t finite.
         include_global_phase: multiply the matrix by exp(-i jz t / 2) so it
             equals the exponential of -i H t exactly instead of up to phase.
 

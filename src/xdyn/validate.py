@@ -171,8 +171,7 @@ def _check_conservation(rng, cases: int) -> list[CheckResult]:
             rho = evolve_closed(s, p, float(t)).matrix
             worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))
             worst_herm = max(worst_herm, linalg.max_abs(rho - linalg.dagger(rho)))
-            eigs = linalg.eigvals_hermitian(rho)
-            min_eig = min(min_eig, float(eigs[0]))
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
             worst_purity = max(worst_purity, abs(linalg.trace_product(rho, rho).real - p0))
     return [
         CheckResult("scan conservation: trace", worst_trace <= 1e-12, worst_trace, 1e-12),

@@ -120,6 +120,25 @@ def test_scan_refuses_grid_beyond_max_steps(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--jx", "0", "--jy", "0", "--jz", "1e10", "--field", "0", "--t", "1e300"],
+        ["evolve", "--jx", "0", "--jy", "0", "--jz", "1e10", "--field", "0",
+         "--state", "werner:0.5", "--t", "1e300"],
+        ["scan", "--jx=1e10", "--jy=0", "--jz=0", "--field=0", "--state", "werner:0.5",
+         "--t-max", "1e300", "--steps", "3"],
+    ],
+    ids=["spectrum", "evolve", "scan"],
+)
+def test_overflowing_phase_is_refused_up_front(capsys, argv):
+    # jz*t or eta*t overflows a float: one error line naming t, no traceback
+    # from cmath.exp and no numpy warning (pytest turns warnings into errors)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: t = 1e+300 overflows a phase") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "coupling",
     [ISO, ["--jx", "1", "--jy", "0.4", "--jz", "0.5", "--field", "0"]],
     ids=["eta_zero", "zero_field"],

@@ -1,9 +1,12 @@
-"""Checks for the hand-rolled matrix exponential and Jacobi eigensolver.
+"""Checks for the hand-rolled matrix exponential and the small matrix helpers.
 
-These two routines arbitrate every closed form in the package, so they
-are themselves checked three ways: frozen exact cases, third-party
-references (scipy.linalg.expm, numpy.linalg.eigvalsh), and algebraic
-properties on seeded random draws.
+expm arbitrates every closed form for the propagator and the evolved
+state, so it is itself checked three ways: frozen exact cases, a
+third-party reference (scipy.linalg.expm), and algebraic properties on
+seeded random draws.  Spectra of matrices that are not X-shaped come from
+numpy's LAPACK eigvalsh, which shares no code with the closed forms; the
+in-house Jacobi solver, its sweep-cap exception and the tests that
+checked it against eigvalsh are gone.
 """
 import math
 
@@ -13,8 +16,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdyn import ConvergenceError, InvalidInputError, eigvals_hermitian, expm, trace_product
-from xdyn.linalg import ID4, PAULI_X, PAULI_Z, frobenius, kron2, max_abs
+from xdyn import InvalidInputError, expm, trace_product
+from xdyn.linalg import ID4, PAULI_X, PAULI_Z, frobenius, max_abs
 
 from conftest import random_hermitian
 
@@ -51,13 +54,13 @@ def test_expm_nilpotent_frozen():
 def test_expm_pauli_rotation_frozen():
     # exp(-i theta X x I) = cos(theta) I - i sin(theta) X x I
     theta = 0.7
-    m = -1j * theta * kron2(PAULI_X, np.eye(2))
-    expected = 0.7648421872844885 * ID4 - 1j * 0.644217687237691 * kron2(PAULI_X, np.eye(2))
+    m = -1j * theta * np.kron(PAULI_X, np.eye(2))
+    expected = 0.7648421872844885 * ID4 - 1j * 0.644217687237691 * np.kron(PAULI_X, np.eye(2))
     assert max_abs(expm(m) - expected) < 1e-14
 
 
 def test_expm_z_quarter_turn_frozen():
-    m = -1j * (math.pi / 2.0) * kron2(PAULI_Z, np.eye(2))
+    m = -1j * (math.pi / 2.0) * np.kron(PAULI_Z, np.eye(2))
     expected = np.diag([-1j, -1j, 1j, 1j])
     assert max_abs(expm(m) - expected) < 1e-14
 
@@ -95,77 +98,6 @@ def test_expm_rejects_bad_input():
         expm(np.full((4, 4), np.nan))
     with pytest.raises(InvalidInputError):
         expm(np.zeros((4, 4)), tol=0.0)
-
-
-def test_eigvals_block_diagonal_frozen():
-    m = np.array(
-        [
-            [2.0, 0.0, 0.0, 0.5],
-            [0.0, 0.0, 0.5, 0.0],
-            [0.0, 0.5, 0.0, 0.0],
-            [0.5, 0.0, 0.0, -2.0],
-        ],
-        dtype=complex,
-    )
-    expected = np.array([-2.0615528128088303, -0.5, 0.5, 2.0615528128088303])
-    assert np.max(np.abs(eigvals_hermitian(m) - expected)) < 1e-12
-
-
-def test_eigvals_complex_hermitian_frozen():
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[1, 1] = 1.0
-    m[0, 1], m[1, 0] = 1j, -1j
-    m[2, 2], m[3, 3] = 0.5, -0.5
-    m[2, 3], m[3, 2] = 0.3 - 0.4j, 0.3 + 0.4j
-    expected = np.array([-0.7071067811865476, 0.0, 0.7071067811865476, 2.0])
-    assert np.max(np.abs(eigvals_hermitian(m) - expected)) < 1e-12
-
-
-def test_eigvals_matches_numpy_on_random_draws(rng):
-    worst = 0.0
-    for _ in range(300):
-        h = random_hermitian(rng, scale=rng.uniform(0.1, 4.0))
-        worst = max(worst, np.max(np.abs(eigvals_hermitian(h) - np.linalg.eigvalsh(h))))
-    assert worst < 1e-11
-
-
-def test_eigvals_sum_matches_trace(rng):
-    for _ in range(100):
-        h = random_hermitian(rng)
-        assert abs(eigvals_hermitian(h).sum() - np.trace(h).real) < 1e-11
-
-
-def test_eigvals_ascending(rng):
-    for _ in range(50):
-        e = eigvals_hermitian(random_hermitian(rng))
-        assert np.all(np.diff(e) >= 0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_eigvals_shift_invariance(seed):
-    """Adding c*I shifts every eigenvalue by exactly c."""
-    r = np.random.default_rng(seed)
-    h = r.normal(size=(4, 4)) + 1j * r.normal(size=(4, 4))
-    h = (h + h.conj().T) / 2.0
-    c = float(r.uniform(-2.0, 2.0))
-    base = eigvals_hermitian(h)
-    shifted = eigvals_hermitian(h + c * np.eye(4))
-    assert np.max(np.abs(shifted - (base + c))) < 1e-10
-
-
-def test_eigvals_rejects_non_hermitian():
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 1] = 1.0
-    with pytest.raises(InvalidInputError):
-        eigvals_hermitian(m)
-
-
-def test_eigvals_sweep_cap_is_reachable_only_by_contract():
-    # Trivial already-diagonal input converges in zero sweeps.
-    e = eigvals_hermitian(np.diag([3.0, 1.0, 2.0, 0.0]).astype(complex))
-    assert np.allclose(e, [0.0, 1.0, 2.0, 3.0], atol=0)
-    assert issubclass(ConvergenceError, Exception)
 
 
 def test_trace_product_matches_direct(rng):

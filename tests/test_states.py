@@ -18,7 +18,6 @@ from xdyn import (
     StateFileError,
     XState,
     bloch_from_density,
-    eigvals_hermitian,
     from_bloch,
     gauge_fix,
     local_rotation,
@@ -232,7 +231,7 @@ def test_local_rotation_is_diagonal_unitary():
 
 
 def test_positivity_routes_agree(rng):
-    # closed-form block test vs Jacobi eigenvalues at the same floor
+    # closed-form block test vs LAPACK eigenvalues at the same floor
     agree = 0
     n_valid = 0
     for _ in range(500):
@@ -249,7 +248,7 @@ def test_positivity_routes_agree(rng):
         m[0, 0], m[1, 1], m[2, 2], m[3, 3] = pops
         m[1, 2] = m[2, 1] = z
         m[0, 3] = m[3, 0] = w
-        eig_ok = bool(eigvals_hermitian(m)[0] >= -1e-10)
+        eig_ok = bool(np.linalg.eigvalsh(m)[0] >= -1e-10)
         assert closed_ok == eig_ok
         agree += 1
         n_valid += closed_ok
@@ -279,11 +278,11 @@ def test_positivity_routes_agree(rng):
             matrix_ok = True
         except ConsistencyError:
             matrix_ok = False
-        assert closed_ok == matrix_ok == bool(eigvals_hermitian(m)[0] >= -1e-10) == expected, (pops, z, w)
+        assert closed_ok == matrix_ok == bool(np.linalg.eigvalsh(m)[0] >= -1e-10) == expected, (pops, z, w)
 
-    # huge entries whose products overflow (Jacobi's off-diagonal norm overflows
-    # too): a block with mean <= 0 still reads its minimum as mean - r, and
-    # neither route may see a NaN, which passes a plain floor comparison
+    # huge entries whose products overflow: a block with mean <= 0 still reads
+    # its minimum as mean - r, and neither route may see a NaN, which passes a
+    # plain floor comparison
     for pops, z, w in (
         ([0.5, 0.0, 0.0, 0.5], 1e160, 0.0),
         ([0.5, 0.0, 0.0, 0.5], 0.0, 1e160),
