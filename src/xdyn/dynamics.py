@@ -20,9 +20,10 @@ from .errors import (
     DomainError,
     InsufficientSpanError,
     RangeError,
+    first_bad,
 )
 from .fidelity import EIG_FLOOR, TRACE_TOL, DensityMatrix, _block_min_eigenvalue, _clamp_fidelity
-from .fidelity import fidelity_bell_diagonal, is_bell_diagonal
+from .fidelity import _phases, fidelity_bell_diagonal, is_bell_diagonal
 
 BLOCH_MATCH_TOL = 1e-12
 
@@ -42,17 +43,23 @@ class TimeGrid:
     """Uniform sampling of [0, t_max] with `steps` points, endpoints included.
 
     steps is at most MAX_STEPS, so a grid and the arrays scan builds on it
-    fit in memory.
+    fit in memory.  A float array of t_max makes one grid per element, laid
+    along a new last axis of times().
     """
 
     t_max: float
     steps: int
 
     def __post_init__(self):
-        if isinstance(self.t_max, bool) or not isinstance(self.t_max, (int, float)):
-            raise RangeError(f"TimeGrid.t_max must be a number, got {self.t_max!r}")
-        if not (math.isfinite(self.t_max) and self.t_max > 0):
-            raise RangeError(f"TimeGrid.t_max must be finite and positive, got {self.t_max}")
+        t_max = self.t_max
+        if isinstance(t_max, np.ndarray) and t_max.dtype == float:
+            at, bad = first_bad(t_max, np.logical_not(np.isfinite(t_max) & (t_max > 0)))
+        elif isinstance(t_max, bool) or not isinstance(t_max, (int, float)):
+            raise RangeError(f"TimeGrid.t_max must be a number, got {t_max!r}")
+        else:
+            at, bad = (None, None) if math.isfinite(t_max) and t_max > 0 else ("", t_max)
+        if at is not None:
+            raise RangeError(f"TimeGrid.t_max{at} must be finite and positive, got {bad}")
         if isinstance(self.steps, bool) or not isinstance(self.steps, int):
             raise RangeError(f"TimeGrid.steps must be an int, got {self.steps!r}")
         if self.steps < 2:
@@ -61,7 +68,7 @@ class TimeGrid:
             raise RangeError(f"TimeGrid.steps must be at most {MAX_STEPS}, got {self.steps}")
 
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.steps)
+        return np.linspace(0.0, self.t_max, self.steps, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -105,14 +112,18 @@ class StationarityVerdict:
 def _evolve_x(s: states.XState, p: model.CouplingParams, t) -> tuple:
     """rho(t) as six numbers (a, b, c, d, z, w), z = rho[1, 2] and w = rho[0, 3].
 
-    t is a finite float or an array of them.  mu+- and delta_entry mix a, d and
-    w, the inner block rotates by omega*t.  Complex products are written out in
-    real arithmetic, in evaluation order, so a float and an array give the same bits.
+    t is a finite float or an array of them, and s and p may be stacks
+    (XState and CouplingParams with array fields); all three broadcast
+    together, so stacks of shape (n, 1) against times of shape (n, k) give
+    k samples of each of n trajectories.  mu+- and delta_entry mix a, d and
+    w, the inner block rotates by omega*t.  Complex products are written out
+    in real arithmetic, in evaluation order, so a float and an array give the
+    same bits.
     """
     f = model.frequencies(p)
     c, u, v = model._outer_entries(p, f, t)  # mu+- = c -+ i u, delta_entry = i v
     cos_o, sin_o = np.cos(f.omega * t), np.sin(f.omega * t)
-    sin_sq = np.float_power(sin_o, 2)  # libm pow, as ** is on a float; ** squares an array
+    sin_sq = model._pow2(sin_o)
     mu_prod = c * c + u * u  # mu+ mu-
     de_sq = -(v * v)  # delta_entry^2
     de_mu_diff = -2.0 * v * u  # delta_entry (mu+ - mu-)
@@ -145,19 +156,24 @@ def _checked_fidelity(x0, xt) -> tuple:
 
 
 def evolve_closed(s: states.XState, p: model.CouplingParams, t: float) -> DensityMatrix:
-    """rho(t) from the closed forms, validated like any other density matrix."""
-    a, b, c, d, z, w = _evolve_x(s, p, model._finite_time(t, "evolve_closed"))
-    x = [[a, 0, 0, w], [0, b, z, 0], [0, z.conjugate(), c, 0], [w.conjugate(), 0, 0, d]]
-    return DensityMatrix(np.array(x, dtype=complex))
+    """rho(t) from the closed forms, validated like any other density matrix.
+
+    Stacks of states, couplings and times (one each per element) give a
+    stacked DensityMatrix.
+    """
+    return DensityMatrix(states._x_matrix(*_evolve_x(s, p, model._finite_time(t, "evolve_closed"))))
 
 
 def evolve_oracle(s: states.XState, p: model.CouplingParams, t: float) -> DensityMatrix:
     """rho(t) by conjugation with the series matrix exponential.
 
-    Shares no code with the closed forms; this is the referee.
+    Shares no code with the closed forms; this is the referee.  The time
+    is first checked to keep every phase finite, as the closed forms
+    check it.  Stacks give one stacked expm call and a stacked
+    DensityMatrix.
     """
-    t = model._finite_time(t, "evolve_oracle")
-    u = linalg.expm(-1j * t * model.hamiltonian(p))
+    t, _ = _phases(p, t, "evolve_oracle")
+    u = linalg.expm(-1j * np.asarray(t)[..., None, None] * model.hamiltonian(p))
     rho0 = states.xstate_matrix(s)
     return DensityMatrix(u @ rho0 @ linalg.dagger(u))
 
@@ -217,8 +233,7 @@ def c_difference_predicted(v: states.BlochVector, p: model.CouplingParams, t: fl
     """
     if not is_bell_diagonal(v):
         raise DomainError("c_difference_predicted: defined only for Bell-diagonal states")
-    t = model._finite_time(t, "c_difference_predicted")
-    f = model.frequencies(p)
+    t, f = _phases(p, t, "c_difference_predicted")
     pulse = p.field * t * model.sinc(f.eta * t)
     return (v.c1 - v.c2) * (1.0 - 2.0 * pulse * pulse)
 
@@ -231,7 +246,8 @@ def c_difference_cos2(v: states.BlochVector, p: model.CouplingParams, t: float) 
     """
     if not is_bell_diagonal(v):
         raise DomainError("c_difference_cos2: defined only for Bell-diagonal states")
-    return (v.c1 - v.c2) * math.cos(model.frequencies(p).eta * t) ** 2
+    t, f = _phases(p, t, "c_difference_cos2")
+    return (v.c1 - v.c2) * model._pow2(np.cos(f.eta * t))
 
 
 def nominal_period(p: model.CouplingParams) -> float | None:

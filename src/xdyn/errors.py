@@ -3,6 +3,7 @@
 Everything derives from XdynError so callers (and the CLI) can catch one
 base class; the subclasses keep failure modes distinguishable in tests.
 """
+import numpy as np
 
 
 class XdynError(ValueError):
@@ -39,3 +40,19 @@ class InsufficientSpanError(XdynError):
 
 class StateFileError(XdynError):
     """A state description file failed schema validation (names the bad field)."""
+
+
+def first_bad(value, bad):
+    """Where a stack first fails a check, for error messages.
+
+    Returns ("[k]", value[k]) for the first index k at which bad holds
+    (value broadcast against bad), or (None, None) when it holds nowhere.
+    A single value that fails gives ("", value), so its message reads as
+    it did before stacks existed.
+    """
+    if not isinstance(bad, np.ndarray) or bad.ndim == 0:
+        return ("", value) if bad else (None, None)
+    if not bad.any():
+        return None, None
+    k = np.unravel_index(np.argmax(bad), np.shape(bad))
+    return str(list(map(int, k))), np.broadcast_to(value, np.shape(bad))[k].item()

@@ -10,13 +10,13 @@ printed form; pass corrected=True for the repaired versions).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, model
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, first_bad
+from .model import _pow2
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -53,18 +53,21 @@ def _block_min_eigenvalue(x, y, g):
     return (xp * y - gp * g) / ((mean + r) * pos + neg) + neg * (mean - r)
 
 
-def _x_min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of an X-shaped 4x4 matrix, in closed form.
+def _x_min_eigenvalue(m: np.ndarray):
+    """Smallest eigenvalue of an X-shaped 4x4 matrix, or of each in a stack, in closed form.
 
     The spectrum is that of the blocks {0, 3} and {1, 2}.  Each block is
     read from the Hermitian part (m + m^dagger) / 2, as the general route
-    reads the whole matrix.
+    reads the whole matrix.  One matrix is read as Python numbers, a stack
+    as arrays of entries; products of huge entries overflow to inf either
+    way, which the block rule is written to survive.
     """
-    r = m.tolist()
-    outer, inner = (
-        _block_min_eigenvalue(r[p][p].real, r[q][q].real, abs(r[p][q] + r[q][p].conjugate()) / 2.0)
-        for p, q in ((0, 3), (1, 2))
-    )
+    e = m.tolist() if m.ndim == 2 else np.moveaxis(m, (-2, -1), (0, 1))
+    with np.errstate(over="ignore"):
+        outer, inner = (
+            _block_min_eigenvalue(e[p][p].real, e[q][q].real, abs(e[p][q] + e[q][p].conjugate()) / 2.0)
+            for p, q in ((0, 3), (1, 2))
+        )
     return np.minimum(outer, inner)  # a NaN block stays NaN, where min() could drop it
 
 
@@ -79,35 +82,47 @@ class DensityMatrix:
     numpy's LAPACK eigvalsh on its Hermitian part, which shares no code
     with the block rule.  Violations raise ConsistencyError, since every
     code path that builds one is supposed to produce a physical state.
+
+    A (..., 4, 4) stack holds one state per matrix: each is checked as a
+    single one is, by the same fork, and an error names the first that
+    fails.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = linalg.as_matrix4(self.matrix, "DensityMatrix")
-        if linalg.max_abs(m - linalg.dagger(m)) > HERMITICITY_TOL:
-            raise ConsistencyError("DensityMatrix: matrix is not Hermitian within 1e-12")
-        trace = np.trace(m)
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ConsistencyError(f"DensityMatrix: trace must be 1, got {trace}")
-        if np.count_nonzero(m.take(_OFF_X)):
-            min_eig = np.linalg.eigvalsh((m + linalg.dagger(m)) / 2.0)[0]
-        else:
-            min_eig = _x_min_eigenvalue(m)
-        if not min_eig >= EIG_FLOOR:  # NaN fails too
-            raise ConsistencyError(f"DensityMatrix: min eigenvalue {min_eig} below {EIG_FLOOR}")
+        h = m - linalg.dagger(m)
+        at, _ = first_bad(0.0, linalg.max_abs_each(h) > HERMITICITY_TOL)
+        if at is not None:
+            raise ConsistencyError(f"DensityMatrix{at}: matrix is not Hermitian within 1e-12")
+        trace = np.trace(m, axis1=-2, axis2=-1)
+        at, bad = first_bad(trace, abs(trace - 1.0) > TRACE_TOL)
+        if at is not None:
+            raise ConsistencyError(f"DensityMatrix{at}: trace must be 1, got {bad}")
+        min_eig = np.array(_x_min_eigenvalue(m))
+        general = np.count_nonzero(m.reshape(m.shape[:-2] + (16,)).take(_OFF_X, axis=-1), axis=-1) > 0
+        if general.any():
+            g = m[general]
+            min_eig[general] = np.linalg.eigvalsh((g + linalg.dagger(g)) / 2.0)[:, 0]
+        at, bad = first_bad(min_eig, np.logical_not(min_eig >= EIG_FLOOR))  # NaN fails too
+        if at is not None:
+            raise ConsistencyError(f"DensityMatrix{at}: min eigenvalue {bad} below {EIG_FLOOR}")
         object.__setattr__(self, "matrix", m)
 
 
 def purity(r: DensityMatrix) -> float:
-    """Tr(rho^2)."""
+    """Tr(rho^2), an array of them for a stack."""
     return linalg._trace_of_product(r.matrix, r.matrix).real
 
 
 def fidelity(r: DensityMatrix, s: DensityMatrix) -> float:
-    """Normalized overlap Tr(r s) / sqrt(Tr r^2 Tr s^2), clamped to [0, 1]."""
+    """Normalized overlap Tr(r s) / sqrt(Tr r^2 Tr s^2), clamped to [0, 1].
+
+    Either argument may be a stack; the result then is an array.
+    """
     num = linalg._trace_of_product(r.matrix, s.matrix).real
-    return _clamp_fidelity(num / math.sqrt(purity(r) * purity(s)))
+    return _clamp_fidelity(num / np.sqrt(purity(r) * purity(s)))
 
 
 def _clamp_fidelity(value):
@@ -122,8 +137,16 @@ def _clamp_fidelity(value):
 
 
 def is_bell_diagonal(v) -> bool:
-    """Whether a BlochVector has s1 = s2 = 0 within BELL_DIAGONAL_TOL."""
-    return max(abs(v.s1), abs(v.s2)) <= BELL_DIAGONAL_TOL
+    """Whether a BlochVector (every one of a stack) has s1 = s2 = 0 within BELL_DIAGONAL_TOL."""
+    return bool(np.all(np.maximum(abs(v.s1), abs(v.s2)) <= BELL_DIAGONAL_TOL))
+
+
+def _phases(p: model.CouplingParams, t, where: str):
+    # The frequencies, once t and the phases it makes are known to be finite.
+    t = model._finite_time(t, where)
+    f = model.frequencies(p)
+    model._finite_phases(p, f, t)
+    return t, f
 
 
 def fidelity_bell_diagonal(v, p: model.CouplingParams, t):
@@ -135,17 +158,17 @@ def fidelity_bell_diagonal(v, p: model.CouplingParams, t):
     Args:
         v: BlochVector with s1 = s2 = 0 (DomainError otherwise).
         p: couplings and field.
-        t: evolution time, a float or an array of times.
+        t: evolution time, a float or an array of times; v, p and t may
+            also be stacks that broadcast together.
     """
     if not is_bell_diagonal(v):
         raise DomainError(
             "fidelity_bell_diagonal: defined only for Bell-diagonal states (s1 = s2 = 0)"
         )
-    t = model._finite_time(t, "fidelity_bell_diagonal")
-    f = model.frequencies(p)
+    t, f = _phases(p, t, "fidelity_bell_diagonal")
     pulse = p.field * t * model.sinc(f.eta * t)  # B sin(eta t) / eta
-    denom = 1.0 + v.c1**2 + v.c2**2 + v.c3**2
-    return 1.0 - ((v.c1 - v.c2) ** 2) * pulse * pulse / denom
+    denom = 1.0 + _pow2(v.c1) + _pow2(v.c2) + _pow2(v.c3)
+    return 1.0 - _pow2(v.c1 - v.c2) * pulse * pulse / denom
 
 
 def overlap_population_form(s, p: model.CouplingParams, t: float, corrected: bool = False) -> float:
@@ -154,19 +177,20 @@ def overlap_population_form(s, p: model.CouplingParams, t: float, corrected: boo
     As commonly printed this misses a coupling between the population
     imbalance a - d and the outer coherence; corrected=True adds the term
     4 w (a - d) B Delta sin^2(eta t) / eta^2 that `xdyn validate` fits.
-    Both variants agree with the oracle on Bell-diagonal states.
+    Both variants agree with the oracle on Bell-diagonal states.  s, p and
+    t may be stacks.
     """
-    f = model.frequencies(p)
-    s2e = (t * model.sinc(f.eta * t)) ** 2  # sin^2(eta t) / eta^2
-    mu_sq = math.cos(f.eta * t) ** 2 + p.field**2 * s2e  # |mu|^2
-    delta_sq = -(f.delta**2) * s2e  # delta_entry^2 is real negative
+    t, f = _phases(p, t, "overlap_population_form")
+    s2e = _pow2(t * model.sinc(f.eta * t))  # sin^2(eta t) / eta^2
+    mu_sq = _pow2(np.cos(f.eta * t)) + _pow2(p.field) * s2e  # |mu|^2
+    delta_sq = -_pow2(f.delta) * s2e  # delta_entry^2 is real negative
     value = (
-        (s.a**2 + s.d**2) * mu_sq
-        + (s.b - s.c) ** 2 * math.cos(f.omega * t) ** 2
+        (_pow2(s.a) + _pow2(s.d)) * mu_sq
+        + _pow2(s.b - s.c) * _pow2(np.cos(f.omega * t))
         - 2.0 * s.a * s.d * delta_sq
         + 2.0 * s.b * s.c
-        + 2.0 * s.z**2
-        + 2.0 * s.w**2 * (1.0 - 2.0 * p.field**2 * s2e)
+        + 2.0 * _pow2(s.z)
+        + 2.0 * _pow2(s.w) * (1.0 - 2.0 * _pow2(p.field) * s2e)
     )
     if corrected:
         value += 4.0 * s.w * (s.a - s.d) * p.field * f.delta * s2e
@@ -178,19 +202,20 @@ def overlap_bloch_form(v, p: model.CouplingParams, t: float, corrected: bool = F
 
     The widely printed version omits the cross term coupling (c1 - c2) and
     (s1 + s2); corrected=True restores it,
-    (c1 - c2)(s1 + s2) B Delta sin^2(eta t) / (2 eta^2).
+    (c1 - c2)(s1 + s2) B Delta sin^2(eta t) / (2 eta^2).  v, p and t may be
+    stacks.
     """
-    f = model.frequencies(p)
-    s2e = (t * model.sinc(f.eta * t)) ** 2
-    cos_sq = math.cos(f.eta * t) ** 2
+    t, f = _phases(p, t, "overlap_bloch_form")
+    s2e = _pow2(t * model.sinc(f.eta * t))
+    cos_sq = _pow2(np.cos(f.eta * t))
     value = (
-        2.0 * (2.0 + 2.0 * v.c3**2)
-        + 2.0 * (v.s1 + v.s2) ** 2 * (cos_sq + (p.field**2 - f.delta**2) * s2e)
-        - 2.0 * (v.s1 - v.s2) ** 2
-        + 4.0 * (v.s1 - v.s2) ** 2 * math.cos(f.omega * t) ** 2
-        + 2.0 * (v.c1 + v.c2) ** 2
-        + 2.0 * (v.c1 - v.c2) ** 2
-    ) / 16.0 - (v.c1 - v.c2) ** 2 * p.field**2 * s2e / 4.0
+        2.0 * (2.0 + 2.0 * _pow2(v.c3))
+        + 2.0 * _pow2(v.s1 + v.s2) * (cos_sq + (_pow2(p.field) - _pow2(f.delta)) * s2e)
+        - 2.0 * _pow2(v.s1 - v.s2)
+        + 4.0 * _pow2(v.s1 - v.s2) * _pow2(np.cos(f.omega * t))
+        + 2.0 * _pow2(v.c1 + v.c2)
+        + 2.0 * _pow2(v.c1 - v.c2)
+    ) / 16.0 - _pow2(v.c1 - v.c2) * _pow2(p.field) * s2e / 4.0
     if corrected:
         value += (v.c1 - v.c2) * (v.s1 + v.s2) * p.field * f.delta * s2e / 2.0
     return value

@@ -6,13 +6,12 @@ checked against, so it shares no code with the closed forms it
 arbitrates.  Spectra of matrices that are not X-shaped come from numpy's
 LAPACK ``eigvalsh``, which likewise shares none; the in-house Jacobi
 solver that used to compute them is gone, with the exception it raised
-when its sweeps ran out.  Matrices are plain numpy arrays of shape (4, 4);
-the dimension is fixed because the physics upstream never needs anything
-else.
+when its sweeps ran out.  Matrices are numpy arrays of shape (4, 4), or
+stacks of them of shape (..., 4, 4) that ``expm`` and the trace product
+treat one matrix at a time; the dimension is fixed because the physics
+upstream never needs anything else.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -39,26 +38,27 @@ DEFAULT_TOL = 1e-12
 
 
 def as_matrix4(m, where: str = "matrix") -> np.ndarray:
-    """Coerce input to a complex (4, 4) array, rejecting bad shapes and NaNs.
+    """Coerce input to a complex (4, 4) array or stack, rejecting bad shapes and NaNs.
 
     Args:
-        m: array-like expected to hold a 4x4 complex matrix.
+        m: array-like holding a 4x4 complex matrix, or a stack of them
+            of shape (..., 4, 4).
         where: label used in error messages.
 
     Returns:
-        A fresh complex128 numpy array of shape (4, 4).
+        A fresh complex128 numpy array of shape (4, 4) or (..., 4, 4).
     """
     a = np.array(m, dtype=complex)
-    if a.shape != (DIM, DIM):
-        raise InvalidInputError(f"{where}: expected shape (4, 4), got {a.shape}")
+    if a.shape[-2:] != (DIM, DIM):
+        raise InvalidInputError(f"{where}: expected shape (4, 4) or (..., 4, 4), got {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
         raise InvalidInputError(f"{where}: entries must be finite")
     return a
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose, of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -66,60 +66,78 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
-def frobenius(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
+def max_abs_each(m: np.ndarray) -> np.ndarray:
+    """Max-norm of each matrix in a (..., 4, 4) stack."""
+    return np.abs(m).max(axis=(-2, -1))
+
+
+def frobenius(m: np.ndarray):
+    """Frobenius norm, an array of them for a stack."""
+    norm = np.linalg.norm(m, axis=(-2, -1))
+    return float(norm) if np.ndim(norm) == 0 else norm
 
 
 def expm(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a Taylor core.
 
-    The input is scaled by 2**s until its Frobenius norm is at most 1/2,
-    the series is summed to enough terms that the truncation remainder is
-    below tol / 2**s (so the squaring stage cannot amplify it past tol for
-    the norm-preserving inputs this package cares about), and the result
-    is squared back up.
+    Each matrix is scaled by its own 2**s until its Frobenius norm is at
+    most 1/2, its series is summed to enough terms that the truncation
+    remainder is below tol / 2**s (so the squaring stage cannot amplify it
+    past tol for the norm-preserving inputs this package cares about), and
+    the result is squared back up.  A stack of matrices is evaluated
+    together: a mask leaves each matrix untouched once its own Horner
+    steps or its own squarings are done, so every matrix of a stack gets
+    the bits it would get on its own.
 
     Args:
-        m: 4x4 complex matrix.
+        m: 4x4 complex matrix, or a (..., 4, 4) stack of them.
         tol: truncation target, must be positive.
 
     Returns:
-        exp(m) as a 4x4 complex array.
+        exp(m), of the shape of m.
     """
     a = as_matrix4(m, "expm")
     if not (tol > 0):
         raise InvalidInputError(f"expm: tol must be positive, got {tol}")
 
-    norm = frobenius(a)
-    s = 0
-    if norm > 0.5:
-        s = int(math.ceil(math.log2(norm / 0.5)))
-    scaled = a / (2.0**s)
-    theta = norm / (2.0**s)
+    norm = np.asarray(frobenius(a))
+    s = np.where(norm > 0.5, np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5)), 0.0)
+    scale = np.ldexp(1.0, s.astype(int))  # 2**s, exactly
+    scaled = a / scale[..., None, None]
+    theta = norm / scale
 
     # Remainder of the truncated series: theta^(n+1) / ((n+1)! (1 - theta)).
-    target = tol / (2.0**s)
-    n_terms = 1
-    remainder = theta**2 / (2.0 * (1.0 - theta))
-    while remainder > target and n_terms < 40:
-        n_terms += 1
-        remainder *= theta / (n_terms + 1)
+    target = tol / scale
+    n_terms = np.ones(np.shape(norm), dtype=int)
+    remainder = np.float_power(theta, 2) / (2.0 * (1.0 - theta))  # libm pow, as ** is on a float
+    while True:
+        more = (remainder > target) & (n_terms < 40)
+        if not more.any():
+            break
+        n_terms = n_terms + more
+        remainder = remainder * (theta / (n_terms + 1))  # finished ones only shrink further
 
-    result = ID4.copy()
-    for k in range(n_terms, 0, -1):
-        result = ID4 + (scaled @ result) / k
-    for _ in range(s):
-        result = result @ result
+    result = np.broadcast_to(ID4, a.shape).copy()  # contiguous, so matmul takes BLAS
+    for k in range(int(n_terms.max()), 0, -1):
+        step = ID4 + (scaled @ result) / k
+        result = np.where((n_terms >= k)[..., None, None], step, result)
+    for j in range(int(s.max())):
+        result = np.where((s > j)[..., None, None], result @ result, result)
     return result
 
 
-def trace_product(a, b) -> complex:
-    """Tr(a @ b) accumulated directly, without forming the product matrix."""
+def trace_product(a, b):
+    """Tr(a @ b) accumulated directly, without forming the product matrix.
+
+    A complex number for two matrices, an array of them when either
+    operand is a stack.
+    """
     return _trace_of_product(as_matrix4(a, "trace_product"), as_matrix4(b, "trace_product"))
 
 
-def _trace_of_product(a: np.ndarray, b: np.ndarray) -> complex:
+def _trace_of_product(a: np.ndarray, b: np.ndarray):
     # For operands already checked by as_matrix4 (or held by a DensityMatrix);
-    # callers inside the package use it to skip a second coercion.
-    return complex(np.einsum("ij,ji->", a, b))
+    # callers inside the package use it to skip a second coercion.  A stack
+    # sums each matrix's products in the order a single matrix does.
+    tr = np.einsum("...ij,...ji->...", a, b)
+    return complex(tr) if np.ndim(tr) == 0 else tr

@@ -6,18 +6,28 @@ pair {|01>, |10>}, which is what makes the closed forms below possible.
 """
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInputError, RangeError
+from .errors import InvalidInputError, RangeError, first_bad
 
 # Below this, sin(x)/x switches to its series 1 - x^2/6, which rounds to
 # exactly 1.0 there: x^2/6 < 1.7e-17 is under half an ulp of 1.
 SINC_SERIES_THRESHOLD = 1e-8
+
+
+def _pow2(x):
+    """x ** 2 as a float computes it (libm pow), for floats and arrays alike.
+
+    numpy's ** squares an array as x * x, which rounds differently from
+    pow in about one case in a thousand; the closed forms use this so a
+    stack gets the bits each of its elements gets on its own.
+    """
+    return np.float_power(x, 2)
 
 
 def sinc(x):
@@ -30,7 +40,12 @@ def sinc(x):
 
 @dataclass(frozen=True)
 class CouplingParams:
-    """Exchange couplings (jx, jy, jz) and the uniform field strength."""
+    """Exchange couplings (jx, jy, jz) and the uniform field strength.
+
+    Each field is a finite number, or each a float array of one shape:
+    a stack of couplings, which frequencies, hamiltonian, propagator and
+    the evolution core take element by element.
+    """
 
     jx: float
     jy: float
@@ -40,7 +55,11 @@ class CouplingParams:
     def __post_init__(self):
         for name in ("jx", "jy", "jz", "field"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if isinstance(v, np.ndarray) and v.dtype == float:
+                at, bad = first_bad(v, ~np.isfinite(v))
+                if at is not None:
+                    raise InvalidInputError(f"CouplingParams.{name}{at} must be finite, got {bad!r}")
+            elif not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise InvalidInputError(f"CouplingParams.{name} must be finite, got {v!r}")
 
 
@@ -58,20 +77,69 @@ class DerivedFrequencies:
     delta: float
 
 
+def _split(x):
+    # Veltkamp split: hi carries the top 26 bits of x, and hi + lo == x.
+    t = x * 134217729.0
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _two_product(x, y):
+    # Dekker: z + zz == x * y exactly.
+    xh, xl = _split(x)
+    yh, yl = _split(y)
+    p = xh * yh
+    q = xh * yl + xl * yh
+    z = p + q
+    return z, p - z + q + xl * yl
+
+
+def _hypot(x, y):
+    """math.hypot(x, y), for floats or arrays.
+
+    numpy's hypot rounds differently from CPython's in about one case in
+    500, so on arrays this takes CPython's steps one by one (scale by a
+    power of two, exact squares, compensated sums, one Newton correction)
+    and gives a stack of couplings the bits each gets on its own.
+    """
+    if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
+        return math.hypot(x, y)
+    x, y = np.abs(x), np.abs(y)
+    big = np.maximum(x, y)
+    normal = (big >= sys.float_info.min) & (big < math.inf)
+    unit = np.where(normal, 1.0, sys.float_info.min)  # CPython rescales subnormals first
+    scale = np.ldexp(1.0, -np.frexp(big / unit)[1])
+    x, y = x / unit * scale, y / unit * scale
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0 and inf are taken from big below
+        # csum starts at 1 and takes x^2 and y^2 exactly; frac1 and frac2
+        # keep the low parts of the squares and the rounding of each sum
+        csum, frac1, frac2 = 1.0, 0.0, 0.0
+        for hi, lo in (_two_product(x, x), _two_product(y, y)):
+            total = csum + hi
+            frac1, frac2, csum = frac1 + lo, frac2 + ((csum - total) + hi), total
+        h = np.sqrt(csum - 1.0 + (frac1 + frac2))
+        hi, lo = _two_product(-h, h)  # subtract h^2 back out for one Newton correction
+        total = csum + hi
+        frac1, frac2, csum = frac1 + lo, frac2 + ((csum - total) + hi), total
+        h = (h + (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)) / scale * unit
+    return np.where((big > 0.0) & (big < math.inf), h, big)
+
+
 def frequencies(p: CouplingParams) -> DerivedFrequencies:
     delta = (p.jx - p.jy) / 2.0
     omega = (p.jx + p.jy) / 2.0
-    eta = math.hypot(p.field, delta)
+    eta = _hypot(p.field, delta)
     return DerivedFrequencies(eta=eta, omega=omega, delta=delta)
 
 
 def hamiltonian(p: CouplingParams) -> np.ndarray:
-    """The 4x4 Hamiltonian matrix in the computational basis."""
+    """The 4x4 Hamiltonian matrix in the computational basis, (..., 4, 4) for a stack."""
+    jx, jy, jz, b = (np.asarray(v)[..., None, None] for v in (p.jx, p.jy, p.jz, p.field))
     return 0.5 * (
-        p.jx * linalg.PAULI_XX
-        + p.jy * linalg.PAULI_YY
-        + p.jz * linalg.PAULI_ZZ
-        + p.field * (linalg.PAULI_ZI + linalg.PAULI_IZ)
+        jx * linalg.PAULI_XX
+        + jy * linalg.PAULI_YY
+        + jz * linalg.PAULI_ZZ
+        + b * (linalg.PAULI_ZI + linalg.PAULI_IZ)
     )
 
 
@@ -125,16 +193,21 @@ def spectrum(p: CouplingParams) -> Spectrum:
     vecs[1, 2], vecs[2, 2] = inv_sqrt2, inv_sqrt2
     vecs[1, 3], vecs[2, 3] = inv_sqrt2, -inv_sqrt2
 
-    norms = (0.0, 0.0)
-    if f.delta != 0.0:
-        # field +- eta computed cancellation-free on both field signs.
-        b_plus = p.field + f.eta if p.field >= 0 else f.delta**2 / (f.eta - p.field)
-        b_minus = p.field - f.eta if p.field <= 0 else -(f.delta**2) / (f.eta + p.field)
-        norms = (
-            abs(f.delta) / math.hypot(b_plus, f.delta),
-            abs(f.delta) / math.hypot(b_minus, f.delta),
-        )
+    norms = _outer_norms(p.field, f.eta, f.delta) if f.delta != 0.0 else (0.0, 0.0)
     return Spectrum(energies=energies, eigenvectors=vecs, norms=norms)
+
+
+def _outer_norms(field, eta, delta) -> tuple:
+    """Spectrum.norms for delta != 0, for floats or arrays.
+
+    field +- eta is computed cancellation-free on both field signs; 0/1
+    masks pick the branch, and the unused quotient never divides by zero.
+    """
+    up, down = field >= 0, field <= 0
+    d_sq = _pow2(delta)
+    b_plus = up * (field + eta) + (field < 0) * (d_sq / (eta - field + up))
+    b_minus = down * (field - eta) - (field > 0) * (d_sq / (eta + field + down))
+    return abs(delta) / _hypot(b_plus, delta), abs(delta) / _hypot(b_minus, delta)
 
 
 def _finite_time(t, where: str):
@@ -149,11 +222,23 @@ def _finite_time(t, where: str):
 def _finite_phases(p: CouplingParams, f: DerivedFrequencies, t) -> None:
     """RangeError unless eta t, |omega| t and jz t are finite at every time.
 
-    t is a float or a sorted array, whose largest |t| is at one end, so
-    the check costs one scalar however long the grid.  All three products
-    are finite exactly when the largest is, and Python floats overflow to
-    inf without the RuntimeWarning numpy scalars raise.
+    For a single coupling, t is a float or a sorted array, whose largest
+    |t| is at one end, so the check costs one scalar however long the
+    grid.  All three products are finite exactly when the largest is, and
+    Python floats overflow to inf without the RuntimeWarning numpy scalars
+    raise.  A stack of couplings checks each rate against its own times
+    and names the first element that overflows.
     """
+    if isinstance(f.eta, np.ndarray):
+        rate = np.maximum(np.maximum(f.eta, abs(f.omega)), abs(p.jz))
+        with np.errstate(over="ignore"):
+            at, t_bad = first_bad(t, ~np.isfinite(rate * abs(t)))
+        if at is not None:
+            raise RangeError(
+                f"t = {t_bad} overflows a phase at stack index {at}: "
+                "eta*t, |omega|*t and jz*t must be finite"
+            )
+        return
     t = max(abs(float(t[0])), abs(float(t[-1]))) if isinstance(t, np.ndarray) else float(t)
     if not math.isfinite(max(f.eta, abs(f.omega), abs(p.jz)) * t):
         raise RangeError(
@@ -180,6 +265,8 @@ class Propagator:
     mu_plus, mu_minus and delta_entry are always the phase-stripped block
     entries (the overall exp(-i jz t / 2) factor is dropped from them);
     ``matrix`` carries that scalar factor only when requested at build time.
+    For a stack of couplings or times the entries are arrays and ``matrix``
+    has shape (..., 4, 4).
     """
 
     mu_plus: complex
@@ -189,12 +276,20 @@ class Propagator:
     global_phase_included: bool
 
 
-def propagator(p: CouplingParams, t: float, include_global_phase: bool = False) -> Propagator:
+def _complex(re, im):
+    # re + i im with both parts exactly as given, signed zeros included.
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def propagator(p: CouplingParams, t, include_global_phase: bool = False) -> Propagator:
     """Evolution operator at time t, assembled from the block closed forms.
 
     Args:
-        p: couplings and field.
-        t: evolution time, finite, with eta t, |omega| t and jz t finite.
+        p: couplings and field, or a stack of them.
+        t: evolution time, finite, with eta t, |omega| t and jz t finite;
+            an array of times (one per coupling of a stack) gives a stack.
         include_global_phase: multiply the matrix by exp(-i jz t / 2) so it
             equals the exponential of -i H t exactly instead of up to phase.
 
@@ -205,28 +300,25 @@ def propagator(p: CouplingParams, t: float, include_global_phase: bool = False) 
     t = _finite_time(t, "propagator")
     f = frequencies(p)
     cos_x, b_t_sinc, delta_t_sinc = _outer_entries(p, f, t)
-    mu_plus = complex(cos_x, b_t_sinc)
-    mu_minus = mu_plus.conjugate()
-    delta_entry = complex(0.0, delta_t_sinc)
+    mu_plus = _complex(cos_x, b_t_sinc)
+    delta_entry = _complex(0.0, delta_t_sinc)
+    inner_phase = np.exp(1j * p.jz * t)
+    cos_o = np.cos(f.omega * t)
+    sin_o = np.sin(f.omega * t)
 
-    inner_phase = cmath.exp(1j * p.jz * t)
-    cos_o = math.cos(f.omega * t)
-    sin_o = math.sin(f.omega * t)
-
-    u = np.zeros((4, 4), dtype=complex)
-    u[0, 0] = mu_minus
-    u[0, 3] = -delta_entry
-    u[3, 0] = -delta_entry
-    u[3, 3] = mu_plus
-    u[1, 1] = inner_phase * cos_o
-    u[2, 2] = inner_phase * cos_o
-    u[1, 2] = -1j * inner_phase * sin_o
-    u[2, 1] = -1j * inner_phase * sin_o
+    u = np.zeros(mu_plus.shape + (4, 4), dtype=complex)
+    u[..., 0, 0] = mu_plus.conj()
+    u[..., 0, 3] = u[..., 3, 0] = -delta_entry
+    u[..., 3, 3] = mu_plus
+    u[..., 1, 1] = u[..., 2, 2] = inner_phase * cos_o
+    u[..., 1, 2] = u[..., 2, 1] = -1j * inner_phase * sin_o
     if include_global_phase:
-        u *= cmath.exp(-0.5j * p.jz * t)
+        u *= np.exp(-0.5j * p.jz * t)[..., None, None]
+    if mu_plus.ndim == 0:
+        mu_plus, delta_entry = complex(mu_plus), complex(delta_entry)
     return Propagator(
         mu_plus=mu_plus,
-        mu_minus=mu_minus,
+        mu_minus=mu_plus.conjugate(),
         delta_entry=delta_entry,
         matrix=u,
         global_phase_included=include_global_phase,

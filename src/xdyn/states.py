@@ -22,8 +22,10 @@ from .errors import (
     PositivityError,
     RangeError,
     StateFileError,
+    first_bad,
 )
 from .fidelity import EIG_FLOOR, TRACE_TOL, DensityMatrix, _block_min_eigenvalue
+from .model import _pow2
 
 # Two-qubit observables whose expectations define the Bloch coefficients.
 OBS_S1 = linalg.PAULI_ZI
@@ -34,6 +36,11 @@ OBS_C3 = linalg.PAULI_ZZ
 
 
 def _require_finite_real(value, name: str) -> float:
+    if isinstance(value, np.ndarray) and value.dtype == float:  # one field of a stack
+        at, bad = first_bad(value, ~np.isfinite(value))
+        if at is not None:
+            raise InvalidInputError(f"{name}{at} must be finite, got {bad!r}")
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
     v = float(value)
@@ -49,7 +56,9 @@ class XState:
     Raises NormalizationError off the unit trace, PositivityError when the
     induced matrix would dip below the eigenvalue floor or when a negative
     coherence is passed directly (route complex/signed coherences through
-    gauge_fix first).
+    gauge_fix first).  Six float arrays of one shape make a stack of
+    states, each checked as a single one is; an error names the first
+    state that fails.
     """
 
     a: float
@@ -62,23 +71,28 @@ class XState:
     def __post_init__(self):
         for name in ("a", "b", "c", "d", "z", "w"):
             object.__setattr__(self, name, _require_finite_real(getattr(self, name), f"XState.{name}"))
-        if self.z < 0 or self.w < 0:
+        at, _ = first_bad(0.0, (self.z < 0) | (self.w < 0))
+        if at is not None:
             raise PositivityError(
-                "XState stores coherence magnitudes; gauge_fix signed or complex coherences first"
+                f"XState{at} stores coherence magnitudes; gauge_fix signed or complex coherences first"
             )
         total = self.a + self.b + self.c + self.d
-        if abs(total - 1.0) > TRACE_TOL:
-            raise NormalizationError(f"populations must sum to 1, got {total!r}")
-        if not _block_min_eigenvalue(self.b, self.c, self.z) >= EIG_FLOOR:
-            raise PositivityError("inner block not positive: z^2 exceeds b*c")
-        if not _block_min_eigenvalue(self.a, self.d, self.w) >= EIG_FLOOR:
-            raise PositivityError("outer block not positive: w^2 exceeds a*d")
+        at, bad = first_bad(total, abs(total - 1.0) > TRACE_TOL)
+        if at is not None:
+            raise NormalizationError(f"populations{at} must sum to 1, got {bad!r}")
+        for block, x, y, g, why in (
+            ("inner", self.b, self.c, self.z, "z^2 exceeds b*c"),
+            ("outer", self.a, self.d, self.w, "w^2 exceeds a*d"),
+        ):
+            at, _ = first_bad(0.0, np.logical_not(_block_min_eigenvalue(x, y, g) >= EIG_FLOOR))
+            if at is not None:
+                raise PositivityError(f"{block} block{at} not positive: {why}")
 
     @property
     def purity(self) -> float:
         return (
-            self.a**2 + self.b**2 + self.c**2 + self.d**2
-            + 2.0 * self.z**2 + 2.0 * self.w**2
+            _pow2(self.a) + _pow2(self.b) + _pow2(self.c) + _pow2(self.d)
+            + 2.0 * _pow2(self.z) + 2.0 * _pow2(self.w)
         )
 
 
@@ -88,7 +102,8 @@ class BlochVector:
 
     s1, s2 are the single-qubit z polarizations; c1, c2, c3 the diagonal
     two-qubit correlators.  Signs live here even when the stored XState has
-    been canonicalized to non-negative coherences.
+    been canonicalized to non-negative coherences.  Float arrays make a
+    stack, as for XState.
     """
 
     s1: float
@@ -101,8 +116,9 @@ class BlochVector:
         for name in ("s1", "s2", "c1", "c2", "c3"):
             v = _require_finite_real(getattr(self, name), f"BlochVector.{name}")
             object.__setattr__(self, name, v)
-            if abs(v) > 1.0 + 1e-12:
-                raise RangeError(f"BlochVector.{name} must lie in [-1, 1], got {v!r}")
+            at, bad = first_bad(v, abs(v) > 1.0 + 1e-12)
+            if at is not None:
+                raise RangeError(f"BlochVector.{name}{at} must lie in [-1, 1], got {bad!r}")
 
     @property
     def purity(self) -> float:
@@ -171,11 +187,18 @@ def local_rotation(theta1: float, theta2: float) -> np.ndarray:
 
 
 def xstate_matrix(s: XState) -> np.ndarray:
-    """The raw 4x4 matrix of an XState (no validation wrapper)."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = s.a, s.b, s.c, s.d
-    m[1, 2] = m[2, 1] = s.z
-    m[0, 3] = m[3, 0] = s.w
+    """The raw 4x4 matrix of an XState, (..., 4, 4) for a stack (no validation wrapper)."""
+    return _x_matrix(s.a, s.b, s.c, s.d, s.z, s.w)
+
+
+def _x_matrix(a, b, c, d, z, w) -> np.ndarray:
+    """The X-shaped matrix with diagonal (a, b, c, d), rho[1, 2] = z and
+    rho[0, 3] = w (complex allowed; the lower entries are their conjugates).
+    Arrays of one shape give a (..., 4, 4) stack."""
+    m = np.zeros(np.shape(a) + (4, 4), dtype=complex)
+    m[..., 0, 0], m[..., 1, 1], m[..., 2, 2], m[..., 3, 3] = a, b, c, d
+    m[..., 1, 2], m[..., 2, 1] = z, np.conj(z)
+    m[..., 0, 3], m[..., 3, 0] = w, np.conj(w)
     return m
 
 
@@ -259,11 +282,13 @@ def preset_werner(x: float) -> XState:
     """Werner family ((2 - x) I + (2x - 1) F) / 6 with F the swap operator.
 
     Defined for x in [-1, 1].  The inner coherence (2x - 1)/6 is stored as
-    a magnitude; all three Bloch correlators equal (2x - 1)/3.
+    a magnitude; all three Bloch correlators equal (2x - 1)/3.  A float
+    array of x gives a stack.
     """
     x = _require_finite_real(x, "preset_werner.x")
-    if not -1.0 <= x <= 1.0:
-        raise RangeError(f"preset_werner: x must lie in [-1, 1], got {x}")
+    at, bad = first_bad(x, np.logical_not((-1.0 <= x) & (x <= 1.0)))
+    if at is not None:
+        raise RangeError(f"preset_werner: x{at} must lie in [-1, 1], got {bad}")
     return XState(
         a=(1 + x) / 6, b=(2 - x) / 6, c=(2 - x) / 6, d=(1 + x) / 6,
         z=abs(2 * x - 1) / 6, w=0.0,

@@ -8,6 +8,16 @@ common value, the outer eigenvector normalizer, the cos^2 decay law, the
 inner coherence sign) and reports, for each, whether it matches the oracle
 or which corrected form does.  Adjudication outcomes are informational:
 the exit status depends only on the binding checks.
+
+Each check draws its cases as one block of uniforms per BLOCK cases,
+``rng.random((n, width))``, whose columns map to the values the per-case
+``rng.uniform`` and ``rng.random`` calls of earlier versions drew, in the
+same stream order and to the same bits.  It then evaluates the whole block
+as stacks: the closed forms broadcast over arrays of states, couplings and
+times, the referee is one stacked ``expm`` call, and every state on either
+route is checked by a stacked ``DensityMatrix``.  "scan conservation" runs
+the kernel behind ``scan`` on 40-point grids, a block of grids at a time.
+Blocks of a fixed size keep memory flat for any number of cases.
 """
 from __future__ import annotations
 
@@ -19,6 +29,8 @@ import numpy as np
 from . import linalg, model, states
 from .dynamics import (
     TimeGrid,
+    _checked_fidelity,
+    _evolve_x,
     c_difference_cos2,
     c_difference_predicted,
     evolve_closed,
@@ -26,19 +38,35 @@ from .dynamics import (
 )
 from .errors import RangeError
 from .fidelity import (
+    DensityMatrix,
     fidelity,
     fidelity_bell_diagonal,
     overlap_bloch_form,
     overlap_population_form,
 )
 
+# States evaluated together.  Each check draws and evaluates its cases in
+# blocks that hold at most this many states (grid samples, for scan
+# conservation), so peak memory does not grow with the number of cases.
+BLOCK = 256
+
+# Samples on each scan-conservation grid.
+SCAN_STEPS = 40
+
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One binding check: its worst observed value against its tolerance.
+
+    worst_index is the draw (for the scan-conservation checks, the scan)
+    where the worst value first occurs; the report does not print it.
+    """
+
     name: str
     passed: bool
     observed: float
     tolerance: float
+    worst_index: int | None = None
 
     def __post_init__(self):
         # numpy scalars leak in through max()/comparisons; store plain types
@@ -87,302 +115,328 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def _random_params(rng) -> model.CouplingParams:
-    jx, jy, jz, b = rng.uniform(-2.0, 2.0, 4)
+def _blocks(rng, n: int, width: int, size: int = BLOCK):
+    """(k, u) for n cases of `width` uniforms each, drawn `size` cases at a time.
+
+    k holds the case indices of the block and u its (len(k), width) draws;
+    blocks come in order, so the stream is that of n * width single draws.
+    """
+    for start in range(0, n, size):
+        u = rng.random((min(size, n - start), width))
+        yield np.arange(start, start + len(u)), u
+
+
+def _uniform(u, low: float, high: float):
+    # rng.uniform(low, high) from the rng.random() draw it is built on, bit for bit.
+    return low + (high - low) * u
+
+
+def _params_from(u, k=None) -> model.CouplingParams:
+    """Couplings from 4 uniform columns, each in [-2, 2).
+
+    With case indices k, every few cases pin the degenerate corners the
+    closed forms must survive: vanishing anisotropy and vanishing field.
+    """
+    jx, jy, jz, b = np.moveaxis(_uniform(u, -2.0, 2.0), -1, 0)
+    if k is not None:
+        r = k % 10
+        jy = np.where(r == 3, jx, np.where(r == 6, jx + 1e-11 * jy, jy))
+        b = np.where(r == 9, 0.0, b)
     return model.CouplingParams(jx=jx, jy=jy, jz=jz, field=b)
 
 
+def _xstate_from(u) -> states.XState:
+    # Populations from 4 columns, then each coherence a fraction of its bound.
+    pops = u[..., :4] + 1e-3
+    a, b, c, d = np.moveaxis(pops / pops.sum(axis=-1, keepdims=True), -1, 0)
+    return states.XState(a=a, b=b, c=c, d=d, z=u[..., 4] * np.sqrt(b * c), w=u[..., 5] * np.sqrt(a * d))
+
+
+def _bell_from(u) -> states.XState:
+    # c3 in [-0.95, 0.95) from 1 column, then the two coherences.
+    c3 = _uniform(u[..., 0], -0.95, 0.95)
+    a = (1.0 + c3) / 4.0
+    b = (1.0 - c3) / 4.0
+    return states.XState(a=a, b=b, c=b, d=a, z=u[..., 2] * b, w=u[..., 1] * a)
+
+
+def _random_params(rng) -> model.CouplingParams:
+    return _params_from(rng.random(4))
+
+
 def _random_xstate(rng) -> states.XState:
-    pops = rng.random(4) + 1e-3
-    pops = pops / pops.sum()
-    a, b, c, d = (float(v) for v in pops)
-    z = float(rng.random()) * math.sqrt(b * c)
-    w = float(rng.random()) * math.sqrt(a * d)
-    return states.XState(a=a, b=b, c=c, d=d, z=z, w=w)
+    return _xstate_from(rng.random(6))
 
 
 def _random_bell_diagonal(rng) -> states.XState:
-    c3 = float(rng.uniform(-0.95, 0.95))
-    a = (1.0 + c3) / 4.0
-    b = (1.0 - c3) / 4.0
-    w = float(rng.random()) * a
-    z = float(rng.random()) * b
-    return states.XState(a=a, b=b, c=b, d=a, z=z, w=w)
+    return _bell_from(rng.random(3))
 
 
-def _special_params(rng, k: int) -> model.CouplingParams:
-    # Every few draws pin the degenerate corners the closed forms must
-    # survive: vanishing anisotropy and vanishing field.
-    p = _random_params(rng)
-    if k % 10 == 3:
-        return model.CouplingParams(jx=p.jx, jy=p.jx, jz=p.jz, field=p.field)
-    if k % 10 == 6:
-        return model.CouplingParams(jx=p.jx, jy=p.jx + 1e-11 * p.jy, jz=p.jz, field=p.field)
-    if k % 10 == 9:
-        return model.CouplingParams(jx=p.jx, jy=p.jy, jz=p.jz, field=0.0)
-    return p
+class _Extreme:
+    """Running maximum (minimum, with lowest=True) of a check over its blocks,
+    and the case index where it first occurs."""
+
+    def __init__(self, lowest: bool = False):
+        self.lowest = lowest
+        self.value = math.inf if lowest else 0.0
+        self.index = None
+
+    def add(self, k: np.ndarray, values: np.ndarray) -> None:
+        if len(values) == 0:
+            return
+        i = int(np.argmin(values) if self.lowest else np.argmax(values))
+        v = float(values[i])
+        if self.index is None or (v < self.value if self.lowest else v > self.value):
+            self.value, self.index = v, int(k[i])
+
+    def result(self, name: str, tolerance: float) -> CheckResult:
+        passed = self.value >= tolerance if self.lowest else self.value <= tolerance
+        return CheckResult(name, passed, self.value, tolerance, self.index)
+
+
+class _Fit:
+    """Least-squares coefficient of residuals on a basis, summed block by block."""
+
+    def __init__(self):
+        self.num = self.den = 0.0
+
+    def add(self, residuals: np.ndarray, basis: np.ndarray) -> None:
+        self.num += float(np.dot(residuals, basis))
+        self.den += float(np.dot(basis, basis))
+
+    @property
+    def coefficient(self) -> float:
+        return math.nan if self.den == 0.0 else self.num / self.den
+
+
+def _abs(z):
+    # |z| as a complex scalar takes it (libm hypot); np.abs on an array rounds differently.
+    return np.hypot(z.real, z.imag)
 
 
 def _check_propagator(rng, cases: int) -> CheckResult:
-    worst = 0.0
-    for k in range(cases):
-        p = _special_params(rng, k)
-        t = float(rng.uniform(0.0, 10.0))
+    worst = _Extreme()
+    for k, u in _blocks(rng, cases, 5):
+        p = _params_from(u[:, :4], k)
+        t = _uniform(u[:, 4], 0.0, 10.0)
         u_closed = model.propagator(p, t, include_global_phase=True).matrix
-        u_oracle = linalg.expm(-1j * t * model.hamiltonian(p))
-        worst = max(worst, linalg.max_abs(u_closed - u_oracle))
-    return CheckResult("propagator vs matrix exponential", worst <= 1e-9, worst, 1e-9)
+        u_oracle = linalg.expm(-1j * t[:, None, None] * model.hamiltonian(p))
+        worst.add(k, linalg.max_abs_each(u_closed - u_oracle))
+    return worst.result("propagator vs matrix exponential", 1e-9)
 
 
 def _check_evolution(rng, cases: int) -> CheckResult:
-    worst = 0.0
-    for k in range(cases):
-        s = _random_xstate(rng)
-        p = _special_params(rng, k)
-        t = float(rng.uniform(0.0, 10.0))
+    worst = _Extreme()
+    for k, u in _blocks(rng, cases, 11):
+        s = _xstate_from(u[:, :6])
+        p = _params_from(u[:, 6:10], k)
+        t = _uniform(u[:, 10], 0.0, 10.0)
         diff = evolve_closed(s, p, t).matrix - evolve_oracle(s, p, t).matrix
-        worst = max(worst, linalg.max_abs(diff))
-    return CheckResult("closed evolution vs oracle evolution", worst <= 1e-10, worst, 1e-10)
+        worst.add(k, linalg.max_abs_each(diff))
+    return worst.result("closed evolution vs oracle evolution", 1e-10)
 
 
 def _check_bloch_round_trip(rng, cases: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(cases):
-        s = _random_xstate(rng)
+    worst = _Extreme()
+    for k, u in _blocks(rng, cases, 6):
+        s = _xstate_from(u)
         r = states.from_bloch(states.to_bloch(s))
-        for name in ("a", "b", "c", "d", "z", "w"):
-            worst = max(worst, abs(getattr(s, name) - getattr(r, name)))
-    return CheckResult("bloch round trip", worst <= 1e-14, worst, 1e-14)
+        worst.add(k, np.max([abs(getattr(s, n) - getattr(r, n)) for n in "abcdzw"], axis=0))
+    return worst.result("bloch round trip", 1e-14)
 
 
 def _check_conservation(rng, cases: int) -> list[CheckResult]:
-    n_scans = max(4, cases // 25)
-    worst_trace = 0.0
-    worst_herm = 0.0
-    worst_purity = 0.0
-    min_eig = math.inf
-    for k in range(n_scans):
-        s = _random_xstate(rng)
-        p = _special_params(rng, k)
-        f = model.frequencies(p)
-        t_max = 3.0 * math.pi / f.eta if f.eta > 0 else 10.0
-        p0 = s.purity
-        for t in TimeGrid(t_max=t_max, steps=40).times():
-            rho = evolve_closed(s, p, float(t)).matrix
-            worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))
-            worst_herm = max(worst_herm, linalg.max_abs(rho - linalg.dagger(rho)))
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
-            worst_purity = max(worst_purity, abs(linalg.trace_product(rho, rho).real - p0))
+    trace, herm, purity = _Extreme(), _Extreme(), _Extreme()
+    floor = _Extreme(lowest=True)
+    for k, u in _blocks(rng, max(4, cases // 25), 10, max(1, BLOCK // SCAN_STEPS)):
+        # One scan per row: fields of shape (n, 1) against (n, SCAN_STEPS) times.
+        s = _xstate_from(u[:, None, :6])
+        p = _params_from(u[:, None, 6:], k[:, None])
+        eta = model.frequencies(p).eta[:, 0]
+        t_max = np.where(eta > 0, 3.0 * math.pi / np.where(eta > 0, eta, 1.0), 10.0)
+        xt = _evolve_x(s, p, TimeGrid(t_max=t_max, steps=SCAN_STEPS).times())
+        _checked_fidelity((s.a, s.b, s.c, s.d, s.z, s.w), xt)  # scan's own checks
+        rho = DensityMatrix(states._x_matrix(*xt)).matrix  # the per-sample checks of a single state
+        trace.add(k, np.max(abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0), axis=1))
+        herm.add(k, linalg.max_abs_each(rho - linalg.dagger(rho)).max(axis=1))
+        floor.add(k, np.linalg.eigvalsh(rho)[..., 0].min(axis=1))
+        purity.add(k, np.max(abs(linalg._trace_of_product(rho, rho).real - s.purity), axis=1))
     return [
-        CheckResult("scan conservation: trace", worst_trace <= 1e-12, worst_trace, 1e-12),
-        CheckResult("scan conservation: hermiticity", worst_herm <= 1e-12, worst_herm, 1e-12),
-        CheckResult("scan conservation: eigenvalue floor", min_eig >= -1e-10, min_eig, -1e-10),
-        CheckResult("scan conservation: purity drift", worst_purity <= 1e-12, worst_purity, 1e-12),
+        trace.result("scan conservation: trace", 1e-12),
+        herm.result("scan conservation: hermiticity", 1e-12),
+        floor.result("scan conservation: eigenvalue floor", -1e-10),
+        purity.result("scan conservation: purity drift", 1e-12),
     ]
 
 
 def _check_bell_fidelity(rng, cases: int) -> CheckResult:
-    worst = 0.0
-    for k in range(cases):
-        s = _random_bell_diagonal(rng)
-        p = _special_params(rng, k)
-        t = float(rng.uniform(0.0, 10.0))
-        v = states.to_bloch(s)
-        rho0 = states.to_density(s)
-        f_num = fidelity(rho0, evolve_closed(s, p, t))
-        f_clo = fidelity_bell_diagonal(v, p, t)
-        worst = max(worst, abs(f_num - f_clo))
-    return CheckResult("bell-diagonal closed-form fidelity", worst <= 1e-10, worst, 1e-10)
-
-
-def _fit_coefficient(residuals: np.ndarray, basis: np.ndarray) -> float:
-    denom = float(np.dot(basis, basis))
-    if denom == 0.0:
-        return math.nan
-    return float(np.dot(residuals, basis) / denom)
+    worst = _Extreme()
+    for k, u in _blocks(rng, cases, 8):
+        s = _bell_from(u[:, :3])
+        p = _params_from(u[:, 3:7], k)
+        t = _uniform(u[:, 7], 0.0, 10.0)
+        f_num = fidelity(states.to_density(s), evolve_closed(s, p, t))
+        f_clo = fidelity_bell_diagonal(states.to_bloch(s), p, t)
+        worst.add(k, abs(f_num - f_clo))
+    return worst.result("bell-diagonal closed-form fidelity", 1e-10)
 
 
 def _errata_overlap_aggregates(rng, cases: int) -> list[ErrataFinding]:
-    n = max(60, cases // 2)
-    resid_pop, resid_pop_fixed, basis_vals = [], [], []
-    resid_bloch, resid_bloch_fixed = [], []
-    bell_resid = 0.0
-    for k in range(n):
-        s = _random_xstate(rng)
-        p = _special_params(rng, k + 1)  # keep exact-degenerate draws out of the fit
-        t = float(rng.uniform(0.2, 8.0))
+    pop, pop_fixed, bloch, bloch_fixed, bell = (_Extreme() for _ in range(5))
+    fit = _Fit()
+    for k, u in _blocks(rng, max(60, cases // 2), 14, BLOCK // 2):  # two states per case
+        s = _xstate_from(u[:, :6])
+        p = _params_from(u[:, 6:10], k + 1)  # keep exact-degenerate draws out of the fit
+        t = _uniform(u[:, 10], 0.2, 8.0)
+        bd = _bell_from(u[:, 11:14])
         f = model.frequencies(p)
-        oracle = linalg.trace_product(states.xstate_matrix(s), evolve_oracle(s, p, t).matrix).real
+        # both states under one referee call: fields of shape (2, n) against n couplings
+        pair = states.XState(*(np.stack([getattr(s, n), getattr(bd, n)]) for n in "abcdzw"))
+        oracle, oracle_bd = linalg.trace_product(states.xstate_matrix(pair), evolve_oracle(pair, p, t).matrix).real
         v = states.to_bloch(s)
-        resid_pop.append(oracle - overlap_population_form(s, p, t))
-        resid_pop_fixed.append(oracle - overlap_population_form(s, p, t, corrected=True))
-        resid_bloch.append(oracle - overlap_bloch_form(v, p, t))
-        resid_bloch_fixed.append(oracle - overlap_bloch_form(v, p, t, corrected=True))
-        s2e = (t * model.sinc(f.eta * t)) ** 2
-        basis_vals.append(s.w * (s.a - s.d) * p.field * f.delta * s2e)
+        resid_pop = oracle - overlap_population_form(s, p, t)
+        pop.add(k, abs(resid_pop))
+        pop_fixed.add(k, abs(oracle - overlap_population_form(s, p, t, corrected=True)))
+        bloch.add(k, abs(oracle - overlap_bloch_form(v, p, t)))
+        bloch_fixed.add(k, abs(oracle - overlap_bloch_form(v, p, t, corrected=True)))
+        s2e = model._pow2(t * model.sinc(f.eta * t))
+        fit.add(resid_pop, s.w * (s.a - s.d) * p.field * f.delta * s2e)
+        bell.add(k, abs(oracle_bd - overlap_population_form(bd, p, t)))
+        bell.add(k, abs(oracle_bd - overlap_bloch_form(states.to_bloch(bd), p, t)))
 
-        bd = _random_bell_diagonal(rng)
-        oracle_bd = linalg.trace_product(
-            states.xstate_matrix(bd), evolve_oracle(bd, p, t).matrix
-        ).real
-        bell_resid = max(bell_resid, abs(oracle_bd - overlap_population_form(bd, p, t)))
-        bell_resid = max(
-            bell_resid, abs(oracle_bd - overlap_bloch_form(states.to_bloch(bd), p, t))
-        )
-
-    resid_pop = np.array(resid_pop)
-    coeff = _fit_coefficient(resid_pop, np.array(basis_vals))
-    max_pop = float(np.max(np.abs(resid_pop)))
-    max_pop_fixed = float(np.max(np.abs(resid_pop_fixed)))
-    max_bloch = float(np.max(np.abs(resid_bloch)))
-    max_bloch_fixed = float(np.max(np.abs(resid_bloch_fixed)))
     tol = 1e-10
-    pop = ErrataFinding(
+    pop_finding = ErrataFinding(
         name="population-form overlap aggregate",
-        consistent=max_pop <= tol,
+        consistent=pop.value <= tol,
         detail=(
-            f"max residual {max_pop:.3e}; "
-            f"fitted coefficient {coeff:.6f} on w*(a-d)*B*Delta*sin^2(eta*t)/eta^2; "
-            f"residual with correction {max_pop_fixed:.3e}; "
-            f"Bell-diagonal subfamily residual {bell_resid:.3e}"
+            f"max residual {pop.value:.3e}; "
+            f"fitted coefficient {fit.coefficient:.6f} on w*(a-d)*B*Delta*sin^2(eta*t)/eta^2; "
+            f"residual with correction {pop_fixed.value:.3e}; "
+            f"Bell-diagonal subfamily residual {bell.value:.3e}"
         ),
     )
-    bloch = ErrataFinding(
+    bloch_finding = ErrataFinding(
         name="bloch-form overlap aggregate",
-        consistent=max_bloch <= tol,
+        consistent=bloch.value <= tol,
         detail=(
-            f"max residual {max_bloch:.3e}; "
+            f"max residual {bloch.value:.3e}; "
             f"missing term (c1-c2)(s1+s2)*B*Delta*sin^2(eta*t)/(2 eta^2); "
-            f"residual with correction {max_bloch_fixed:.3e}"
+            f"residual with correction {bloch_fixed.value:.3e}"
         ),
     )
-    return [pop, bloch]
+    return [pop_finding, bloch_finding]
 
 
 def _errata_inner_sign(rng, cases: int) -> ErrataFinding:
-    n = max(40, cases // 4)
-    worst_printed = 0.0
-    worst_closed = 0.0
-    for k in range(n):
-        s = _random_xstate(rng)
-        p = _special_params(rng, k)
-        t = float(rng.uniform(0.2, 8.0))
+    printed_miss, closed_miss = _Extreme(), _Extreme()
+    for k, u in _blocks(rng, max(40, cases // 4), 11):
+        s = _xstate_from(u[:, :6])
+        p = _params_from(u[:, 6:10], k)
+        t = _uniform(u[:, 10], 0.2, 8.0)
         f = model.frequencies(p)
-        oracle = evolve_oracle(s, p, t).matrix[1, 2]
-        printed = s.z - 1j * (s.b - s.c) * math.sin(2.0 * f.omega * t) / 2.0
-        closed = evolve_closed(s, p, t).matrix[1, 2]
-        worst_printed = max(worst_printed, abs(printed - oracle))
-        worst_closed = max(worst_closed, abs(closed - oracle))
+        oracle = evolve_oracle(s, p, t).matrix[:, 1, 2]
+        printed = s.z - 1j * (s.b - s.c) * np.sin(2.0 * f.omega * t) / 2.0
+        closed = evolve_closed(s, p, t).matrix[:, 1, 2]
+        printed_miss.add(k, _abs(printed - oracle))
+        closed_miss.add(k, _abs(closed - oracle))
     return ErrataFinding(
         name="inner coherence evolution (sign of the imaginary part)",
-        consistent=worst_printed <= 1e-10,
+        consistent=printed_miss.value <= 1e-10,
         detail=(
-            f"quoted z - i(b-c)sin(2*omega*t)/2 misses by {worst_printed:.3e}; "
-            f"z + i(b-c)sin(2*omega*t)/2 matches the oracle within {worst_closed:.3e}"
+            f"quoted z - i(b-c)sin(2*omega*t)/2 misses by {printed_miss.value:.3e}; "
+            f"z + i(b-c)sin(2*omega*t)/2 matches the oracle within {closed_miss.value:.3e}"
         ),
     )
 
 
 def _errata_c2_shortcut(rng, cases: int) -> ErrataFinding:
-    n = max(40, cases // 4)
-    printed_vals, oracle_vals = [], []
-    for _ in range(n):
-        s = _random_xstate(rng)
-        printed_vals.append(s.z - s.w)
-        oracle_vals.append(states.to_bloch(s).c2)
-    printed = np.array(printed_vals)
-    oracle = np.array(oracle_vals)
-    worst = float(np.max(np.abs(oracle - printed)))
-    factor = _fit_coefficient(oracle, printed)
-    worst_fixed = float(np.max(np.abs(oracle - 2.0 * printed)))
+    worst, worst_fixed = _Extreme(), _Extreme()
+    fit = _Fit()
+    for k, u in _blocks(rng, max(40, cases // 4), 6):
+        s = _xstate_from(u)
+        printed = s.z - s.w
+        oracle = states.to_bloch(s).c2
+        worst.add(k, abs(oracle - printed))
+        worst_fixed.add(k, abs(oracle - 2.0 * printed))
+        fit.add(oracle, printed)
     return ErrataFinding(
         name="c2 shortcut (z - w)",
-        consistent=worst <= 1e-10,
+        consistent=worst.value <= 1e-10,
         detail=(
-            f"max residual {worst:.3e} against the trace definition; "
-            f"fitted factor {factor:.6f}; "
-            f"2*(z - w) matches within {worst_fixed:.3e}"
+            f"max residual {worst.value:.3e} against the trace definition; "
+            f"fitted factor {fit.coefficient:.6f}; "
+            f"2*(z - w) matches within {worst_fixed.value:.3e}"
         ),
     )
 
 
 def _errata_werner_value(rng, cases: int) -> ErrataFinding:
-    n = max(40, cases // 4)
-    worst_12 = 0.0
-    worst_3 = 0.0
-    spread = 0.0
-    for _ in range(n):
-        x = float(rng.uniform(-1.0, 1.0))
+    worst_12, worst_3, spread = _Extreme(), _Extreme(), _Extreme()
+    for k, u in _blocks(rng, max(40, cases // 4), 1):
+        x = _uniform(u[:, 0], -1.0, 1.0)
         v = states.to_bloch(states.preset_werner(x))
         # stored state is canonical, so compare magnitudes on c1 = c2 and
         # the signed value on c3 (untouched by canonicalization)
-        spread = max(spread, abs(v.c1 - v.c2), abs(abs(v.c3) - abs(v.c1)))
-        worst_12 = max(worst_12, abs(abs(v.c3) - abs(2.0 * x - 1.0) / 12.0))
-        worst_3 = max(worst_3, abs(v.c3 - (2.0 * x - 1.0) / 3.0))
+        spread.add(k, np.maximum(abs(v.c1 - v.c2), abs(abs(v.c3) - abs(v.c1))))
+        worst_12.add(k, abs(abs(v.c3) - abs(2.0 * x - 1.0) / 12.0))
+        worst_3.add(k, abs(v.c3 - (2.0 * x - 1.0) / 3.0))
     return ErrataFinding(
         name="werner common bloch value ((2x-1)/12)",
-        consistent=worst_12 <= 1e-10,
+        consistent=worst_12.value <= 1e-10,
         detail=(
-            f"max residual {worst_12:.3e} for (2x-1)/12; "
-            f"(2x-1)/3 matches the trace definition within {worst_3:.3e}; "
-            f"coefficient equality spread {spread:.3e}"
+            f"max residual {worst_12.value:.3e} for (2x-1)/12; "
+            f"(2x-1)/3 matches the trace definition within {worst_3.value:.3e}; "
+            f"coefficient equality spread {spread.value:.3e}"
         ),
     )
 
 
 def _errata_normalizer(rng, cases: int) -> ErrataFinding:
-    n = max(40, cases // 4)
-    worst_printed = 0.0
+    printed, true_norm = _Extreme(), _Extreme()
     undefined = 0
-    worst_true_norm = 0.0
-    for _ in range(n):
-        p = _random_params(rng)
+    for k, u in _blocks(rng, max(40, cases // 4), 4):
+        p = _params_from(u)
         f = model.frequencies(p)
-        if abs(f.delta) < 1e-6:
-            continue
-        sp = model.spectrum(p)
-        for idx, branch in ((0, +1.0), (1, -1.0)):
-            ratio = (p.field + branch * f.eta) / f.delta
+        keep = abs(f.delta) >= 1e-6
+        k, field, eta, delta = k[keep], p.field[keep], f.eta[keep], f.delta[keep]
+        norms = model._outer_norms(field, eta, delta)
+        for norm, branch in zip(norms, (+1.0, -1.0)):
+            ratio = (field + branch * eta) / delta
             radicand = 1.0 + ratio
-            true_norm = 1.0 / math.sqrt(1.0 + ratio * ratio)
-            worst_true_norm = max(worst_true_norm, abs(sp.norms[idx] - true_norm))
-            if radicand <= 0.0:
-                undefined += 1
-                continue
-            worst_printed = max(worst_printed, abs(radicand**-0.5 - sp.norms[idx]))
+            true_norm.add(k, abs(norm - 1.0 / np.sqrt(1.0 + ratio * ratio)))
+            defined = radicand > 0.0
+            undefined += int(np.count_nonzero(~defined))
+            printed.add(k[defined], abs(np.float_power(radicand[defined], -0.5) - norm[defined]))
     return ErrataFinding(
         name="outer eigenvector normalizer (1 + (B+-eta)/Delta)^(-1/2)",
-        consistent=worst_printed <= 1e-10 and undefined == 0,
+        consistent=printed.value <= 1e-10 and undefined == 0,
         detail=(
-            f"max residual {worst_printed:.3e} against the unit-norm value; "
+            f"max residual {printed.value:.3e} against the unit-norm value; "
             f"{undefined} draws where the quoted radicand is not even positive; "
-            f"squared-ratio form (1 + ((B+-eta)/Delta)^2)^(-1/2) matches within {worst_true_norm:.3e}"
+            f"squared-ratio form (1 + ((B+-eta)/Delta)^2)^(-1/2) matches within {true_norm.value:.3e}"
         ),
     )
 
 
 def _errata_c_diff_law(rng, cases: int) -> ErrataFinding:
-    n = max(60, cases // 2)
-    worst_cos2 = 0.0
-    worst_linear = 0.0
+    worst_cos2, worst_linear = _Extreme(), _Extreme()
     crossings = 0
-    for k in range(n):
-        s = _random_bell_diagonal(rng)
-        p = _special_params(rng, k)
-        t = float(rng.uniform(0.2, 8.0))
+    for k, u in _blocks(rng, max(60, cases // 2), 8):
+        s = _bell_from(u[:, :3])
+        p = _params_from(u[:, 3:7], k)
+        t = _uniform(u[:, 7], 0.2, 8.0)
         v = states.to_bloch(s)
         vt = states.bloch_from_density(evolve_oracle(s, p, t))
         oracle = vt.c1 - vt.c2
-        worst_cos2 = max(worst_cos2, abs(oracle - c_difference_cos2(v, p, t)))
-        worst_linear = max(worst_linear, abs(oracle - c_difference_predicted(v, p, t)))
-        if (v.c1 - v.c2) > 1e-6 and oracle < -1e-6:
-            crossings += 1
+        worst_cos2.add(k, abs(oracle - c_difference_cos2(v, p, t)))
+        worst_linear.add(k, abs(oracle - c_difference_predicted(v, p, t)))
+        crossings += int(np.count_nonzero(((v.c1 - v.c2) > 1e-6) & (oracle < -1e-6)))
     return ErrataFinding(
         name="c1 - c2 decay law (cos^2(eta*t))",
-        consistent=worst_cos2 <= 1e-10,
+        consistent=worst_cos2.value <= 1e-10,
         detail=(
-            f"max residual {worst_cos2:.3e} for the cos^2 law; "
-            f"(1 - 2 B^2 sin^2(eta t)/eta^2) matches the oracle within {worst_linear:.3e}; "
+            f"max residual {worst_cos2.value:.3e} for the cos^2 law; "
+            f"(1 - 2 B^2 sin^2(eta t)/eta^2) matches the oracle within {worst_linear.value:.3e}; "
             f"{crossings} draws crossed the c1 = c2 plane (possible exactly when B^2 > Delta^2)"
         ),
     )

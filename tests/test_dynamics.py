@@ -31,10 +31,12 @@ from xdyn import (
     fidelity_bell_diagonal,
     hamiltonian,
     nominal_period,
+    overlap_bloch_form,
     overlap_evolved,
     overlap_population_form,
     preset_p_mixture,
     preset_werner,
+    propagator,
     purity,
     scan,
     to_bloch,
@@ -117,6 +119,37 @@ def test_one_point_calls_reject_non_finite_time(rng):
         for times in (t, np.array([0.0, t])):
             with pytest.raises(InvalidInputError, match="fidelity_bell_diagonal: t must be finite"):
                 fidelity_bell_diagonal(v, p, times)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda s, v, p, t: fidelity_bell_diagonal(v, p, t),
+        lambda s, v, p, t: c_difference_predicted(v, p, t),
+        lambda s, v, p, t: c_difference_cos2(v, p, t),
+        lambda s, v, p, t: overlap_population_form(s, p, t),
+        lambda s, v, p, t: overlap_population_form(s, p, t, corrected=True),
+        lambda s, v, p, t: overlap_bloch_form(v, p, t),
+        lambda s, v, p, t: evolve_oracle(s, p, t),
+    ],
+    ids=[
+        "fidelity_bell_diagonal",
+        "c_difference_predicted",
+        "c_difference_cos2",
+        "overlap_population_form",
+        "overlap_population_form_corrected",
+        "overlap_bloch_form",
+        "evolve_oracle",
+    ],
+)
+def test_library_forms_refuse_overflowing_phases(form):
+    # the same RangeError propagator raises, before any warning or math domain error
+    s = preset_werner(0.3)
+    p = CouplingParams(1e10, 0.0, 0.0, 0.0)
+    with pytest.raises(RangeError, match=r"t = 1e\+300 overflows a phase"):
+        form(s, to_bloch(s), p, 1e300)
+    with pytest.raises(RangeError, match=r"t = 1e\+300 overflows a phase"):
+        propagator(p, 1e300)
 
 
 def test_overlap_evolved_routes(rng):

@@ -1,8 +1,15 @@
 """Report structure and determinism of the self-validation suite."""
+import pathlib
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from xdyn import RangeError, run_validation
-from xdyn.validate import CheckResult, ValidationReport
+from xdyn import RangeError, expm, hamiltonian, propagator, run_validation
+from xdyn.linalg import max_abs
+from xdyn.validate import BLOCK, CheckResult, ValidationReport, _params_from, _uniform
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 EXPECTED_CHECKS = {
     "propagator vs matrix exponential",
@@ -81,3 +88,46 @@ def test_run_validation_input_validation():
 def test_run_validation_rejects_negative_seed():
     with pytest.raises(RangeError, match="non-negative"):
         run_validation(seed=-1, cases=20)
+
+
+@pytest.mark.parametrize("seed, cases", [(0, 200), (42, 200), (5, 30)])
+def test_report_bytes_match_the_looped_checks(seed, cases):
+    # reports written by the per-draw implementation the stacked checks replaced
+    expected = (DATA / f"validate_seed{seed}_cases{cases}.txt").read_text()
+    assert run_validation(seed=seed, cases=cases).render() == expected
+
+
+def test_worst_index_replays_the_worst_draw():
+    seed, cases = 3, 40
+    check = run_validation(seed=seed, cases=cases).checks[0]
+    assert check.name == "propagator vs matrix exponential"
+    k = check.worst_index
+    # the propagator check draws first: five uniforms per case
+    u = np.random.default_rng(seed).random((cases, 5))[k]
+    p = _params_from(u[:4], k)
+    t = float(_uniform(u[4], 0.0, 10.0))
+    replay = max_abs(propagator(p, t, include_global_phase=True).matrix - expm(-1j * t * hamiltonian(p)))
+    assert replay == check.observed
+    assert all(c.worst_index is not None and 0 <= c.worst_index < cases for c in run_validation(5, 30).checks)
+
+
+def test_worst_index_is_not_rendered():
+    a = CheckResult(name="x", passed=True, observed=1e-13, tolerance=1e-9)
+    b = CheckResult(name="x", passed=True, observed=1e-13, tolerance=1e-9, worst_index=7)
+    assert a.worst_index is None
+    render = lambda c: ValidationReport(seed=0, cases=10, checks=[c]).render()  # noqa: E731
+    assert render(a) == render(b)
+
+
+def test_validation_memory_stays_flat_beyond_one_block():
+    run_validation(seed=0, cases=10)  # first-call allocations (LAPACK workspaces) out of the way
+
+    def peak(cases: int) -> int:
+        tracemalloc.start()
+        try:
+            run_validation(seed=0, cases=cases)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * BLOCK) <= 1.5 * peak(BLOCK)
