@@ -32,21 +32,33 @@ BELL_DIAGONAL_TOL = 1e-12
 _OFF_X = np.array([1, 2, 4, 7, 8, 11, 13, 14])
 
 
+def _modulus(g):
+    """|g| of a float or complex, or of each entry of an array, by libm hypot.
+
+    abs reads a Python or numpy complex scalar with libm hypot, but a complex
+    array with numpy's own absolute, which misses libm's last bit on a large
+    share of inputs; arrays therefore go through np.hypot, which is libm
+    hypot.  Scalars make no numpy call.
+    """
+    return np.hypot(g.real, g.imag) if isinstance(g, np.ndarray) else abs(g)
+
+
 def _block_min_eigenvalue(x, y, g):
     """Smaller eigenvalue of [[x, g], [g*, y]]: the one X-block positivity rule.
 
     Takes floats or arrays.  The root is mean - r, with mean = (x + y)/2 and
-    r = hypot((x - y)/2, |g|).  For mean > 0 it is taken as the product of
-    the roots over the larger one, (x y - |g|^2)/(mean + r), because mean - r
-    cancels there and reads a block whose minimum sits at the floor one
-    rounding below it.  The branch is picked with 0/1 masks rather than
-    np.where, which would cost microseconds on every float call; the unused
-    quotient is built from zeroed inputs, so a product that overflows there
-    cannot turn the other branch into 0 * inf = NaN.
+    r = hypot((x - y)/2, |g|); _modulus reads both, so a block gives the
+    same bits alone and inside a stack.  For mean > 0 the root is taken as
+    the product of the roots over the larger one, (x y - |g|^2)/(mean + r),
+    because mean - r cancels there and reads a block whose minimum sits at
+    the floor one rounding below it.  The branch is picked with 0/1 masks
+    rather than np.where, which would cost microseconds on every float call;
+    the unused quotient is built from zeroed inputs, so a product that
+    overflows there cannot turn the other branch into 0 * inf = NaN.
     """
-    g = abs(g)
+    g = _modulus(g)
     mean = (x + y) / 2.0
-    r = abs((x - y) / 2.0 + 1j * g)  # hypot, without a numpy call on floats
+    r = _modulus((x - y) / 2.0 + 1j * g)  # hypot((x - y)/2, |g|)
     pos = mean > 0.0
     neg = mean <= 0.0
     xp, gp = x * pos, g * pos
@@ -65,7 +77,7 @@ def _x_min_eigenvalue(m: np.ndarray):
     e = m.tolist() if m.ndim == 2 else np.moveaxis(m, (-2, -1), (0, 1))
     with np.errstate(over="ignore"):
         outer, inner = (
-            _block_min_eigenvalue(e[p][p].real, e[q][q].real, abs(e[p][q] + e[q][p].conjugate()) / 2.0)
+            _block_min_eigenvalue(e[p][p].real, e[q][q].real, _modulus(e[p][q] + e[q][p].conjugate()) / 2.0)
             for p, q in ((0, 3), (1, 2))
         )
     return np.minimum(outer, inner)  # a NaN block stays NaN, where min() could drop it

@@ -85,9 +85,10 @@ def expm(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     remainder is below tol / 2**s (so the squaring stage cannot amplify it
     past tol for the norm-preserving inputs this package cares about), and
     the result is squared back up.  A stack of matrices is evaluated
-    together: a mask leaves each matrix untouched once its own Horner
-    steps or its own squarings are done, so every matrix of a stack gets
-    the bits it would get on its own.
+    together: each Horner step and each squaring multiplies only the
+    matrices whose own term count or scaling power still asks for it, so
+    every matrix of a stack gets the bits it would get on its own and no
+    product is computed to be thrown away.
 
     Args:
         m: 4x4 complex matrix, or a (..., 4, 4) stack of them.
@@ -119,11 +120,20 @@ def expm(m, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     result = np.broadcast_to(ID4, a.shape).copy()  # contiguous, so matmul takes BLAS
     for k in range(int(n_terms.max()), 0, -1):
-        step = ID4 + (scaled @ result) / k
-        result = np.where((n_terms >= k)[..., None, None], step, result)
+        i = _rows(n_terms >= k)
+        result[i] = ID4 + (scaled[i] @ result[i]) / k
     for j in range(int(s.max())):
-        result = np.where((s > j)[..., None, None], result @ result, result)
+        i = _rows(s > j)
+        r = result[i]
+        result[i] = r @ r
     return result
+
+
+def _rows(mask: np.ndarray):
+    # Index of the matrices a step of expm applies to: Ellipsis when it is all
+    # of them, which copies nothing and takes a single (4, 4) matrix whole,
+    # else the indices of those of a stack that are still at work.
+    return ... if np.count_nonzero(mask) == mask.size else mask.nonzero()
 
 
 def trace_product(a, b):

@@ -2,10 +2,11 @@
 and period detection."""
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xdyn import (
@@ -433,6 +434,94 @@ def test_detect_period_tol_override():
     p = CouplingParams(1.0, 1.0, 0.5, 0.5)
     trace = scan(s, p, TimeGrid(t_max=6.0 * math.pi, steps=500))
     assert detect_period(trace, tol=2.0) is None
+
+
+def _detect_period_loop(trace, tol=dynamics.STATIONARY_TOL):
+    """detect_period as a loop over samples: the reference for the array version."""
+    f = np.asarray(trace.f_numeric, dtype=float)
+    times = np.asarray(trace.times, dtype=float)
+    if len(f) < 3:
+        raise InsufficientSpanError("detect_period: need at least 3 samples")
+    amplitude = float(np.max(1.0 - f))
+    if amplitude < tol:
+        return None
+    threshold = 1.0 - 0.5 * amplitude
+    dt = times[1] - times[0]
+    refined = []
+    for i in range(1, len(f) - 1):
+        if f[i] < f[i - 1] and f[i] <= f[i + 1] and f[i] <= threshold:
+            denom = f[i - 1] - 2.0 * f[i] + f[i + 1]
+            offset = 0.0
+            if denom > 0.0:
+                offset = 0.5 * dt * (f[i - 1] - f[i + 1]) / denom
+            refined.append(times[i] + offset)
+    if len(refined) < 2:
+        raise InsufficientSpanError(
+            f"detect_period: found {len(refined)} usable minima, need at least 2"
+        )
+    spacings = np.diff(refined)
+    return float(np.mean(spacings))
+
+
+def _period_outcome(detect, trace, tol):
+    """What a detect_period call gives: the bits of its value (or None) or its error,
+    and whether numpy warned on the way."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        try:
+            value = detect(trace, tol)
+            got = None if value is None else np.float64(value).view(np.int64)
+        except InsufficientSpanError as exc:
+            got = (type(exc), str(exc))
+    return got, bool(caught)
+
+
+def _trace_of(f, t_max=1.0) -> FidelityTrace:
+    f = np.asarray(f, dtype=float)
+    n = len(f)
+    return FidelityTrace(
+        times=np.linspace(0.0, t_max, n), f_numeric=f, f_closed=None, purity=np.ones(n), c1_minus_c2=np.zeros(n)
+    )
+
+
+# Sample values: a small set makes plateaus (equal neighbours) and minima
+# exactly at the threshold 1 - amplitude/2 (0.5 when 0 is drawn, 0.75 when
+# 0.5 is the lowest); free floats make ordinary parabolas; huge values and
+# infinities make the only triples whose denom is not positive (NaN, from
+# inf - inf; finite triples that pass the minimum test have denom > 0) and
+# overflowing ones, which warn on both routes; NaN makes the amplitude NaN.
+_SAMPLE = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    st.floats(-0.5, 1.5),
+    st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    f=st.lists(_SAMPLE, min_size=0, max_size=40),
+    t_max=st.floats(1e-3, 1e3),
+    tol=st.sampled_from([dynamics.STATIONARY_TOL, 0.3, 2.0]),
+)
+@example(f=[1.0, 0.0, 1.0], t_max=1.0, tol=dynamics.STATIONARY_TOL)  # the 3-sample minimum
+@example(f=[1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0], t_max=1.0, tol=dynamics.STATIONARY_TOL)  # 0/0 off the minima
+@example(f=[1.0, 0.5, 1.0, 0.5, 1.0], t_max=1.0, tol=dynamics.STATIONARY_TOL)  # minima at the threshold
+@example(f=[1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0], t_max=1.0, tol=dynamics.STATIONARY_TOL)  # plateaus
+@example(f=[1.0, -math.inf, -math.inf, 1.0, -math.inf, 0.0], t_max=1.0, tol=dynamics.STATIONARY_TOL)  # denom NaN, then inf
+@example(f=[1.0, -1e308, -1e308, 1.0, -1e308, 0.0], t_max=1.0, tol=dynamics.STATIONARY_TOL)  # 2 f[i] overflows
+@example(f=[1.0, 0.0, math.nan, 0.0, 1.0], t_max=1.0, tol=dynamics.STATIONARY_TOL)  # no minimum passes
+def test_detect_period_matches_the_loop_bit_for_bit(f, t_max, tol):
+    trace = _trace_of(f, t_max)
+    assert _period_outcome(detect_period, trace, tol) == _period_outcome(_detect_period_loop, trace, tol)
+
+
+def test_detect_period_matches_the_loop_on_scans(rng):
+    # traces of the length classify and period measure, generic and Bell-diagonal
+    tol = dynamics.STATIONARY_TOL
+    for k in range(40):
+        s = random_xstate(rng) if k % 2 else random_bell_diagonal(rng)
+        trace = scan(s, random_params(rng), TimeGrid(t_max=float(rng.uniform(5.0, 40.0)), steps=3601))
+        assert _period_outcome(detect_period, trace, tol) == _period_outcome(_detect_period_loop, trace, tol)
 
 
 @settings(max_examples=30, deadline=None)

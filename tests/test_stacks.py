@@ -30,6 +30,8 @@ from xdyn import (
     to_bloch,
 )
 from xdyn import dynamics, model
+from xdyn.fidelity import _block_min_eigenvalue, _x_min_eigenvalue
+from xdyn.states import _x_matrix
 
 from conftest import random_hermitian, random_params, random_xstate
 
@@ -227,3 +229,36 @@ def test_stacked_density_matrix_sends_non_x_elements_to_eigvalsh():
     m[2, 0, 3] = m[2, 3, 0] = 0.26
     with pytest.raises(ConsistencyError, match=r"DensityMatrix\[2\]: min eigenvalue"):
         DensityMatrix(m)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_block_rule_reads_the_same_bits_alone_and_in_a_stack():
+    # 24k blocks [[x, g], [g*, y]]: one in four exactly on the boundary
+    # |g|^2 = x y, one in eight diagonal, one in sixteen with x = 0 and one
+    # in sixteen with mean <= 0; phases make g complex except on every
+    # third block.  A float reads |g| and r with abs of a Python complex
+    # (libm hypot), an array with np.hypot; numpy's complex absolute, the
+    # array's own abs, misses libm's last bit on about a quarter of them.
+    r = np.random.default_rng(1708)
+    n = 24_000
+    x, y = r.random(n), r.random(n) * 10.0 ** r.uniform(-3.0, 0.0, n)
+    mag = np.sqrt(x * y) * r.uniform(0.0, 1.0, n)
+    mag[::4] = np.sqrt(x[::4] * y[::4])
+    mag[1::8] = 0.0
+    x[2::16] = 0.0
+    x[3::16], y[3::16] = -x[3::16], -y[3::16]
+    g = mag * np.exp(1j * r.uniform(0.0, 2.0 * math.pi, n))
+    g[::3] = mag[::3]
+    xs, ys = x.tolist(), y.tolist()
+    for coherence in (g, mag):
+        stacked = _block_min_eigenvalue(x, y, coherence)
+        single = [_block_min_eigenvalue(a, b, c) for a, b, c in zip(xs, ys, coherence.tolist())]
+        assert _same(_bits(stacked), _bits(single))
+    # the same blocks inside X-shaped matrices: a stacked DensityMatrix reads
+    # each as a single one does
+    m = _x_matrix(x, np.roll(x, 1), np.roll(y, 1), y, np.roll(g, 1), g)
+    single = [_x_min_eigenvalue(one) for one in m]
+    assert _same(_bits(_x_min_eigenvalue(m)), _bits(single))
