@@ -169,21 +169,35 @@ def _trace_columns(trace) -> list:
 
 
 def _trace_csv(trace) -> str:
-    # "%.17g" % x is format(x, ".17g"); an absent column is an empty cell
-    cols = [col for _, col in _trace_columns(trace)]
-    row = ",".join("" if col is None else "%.17g" for col in cols)
-    rows = zip(*(col.tolist() for col in cols if col is not None))
-    return "\n".join(["t,f_numeric,f_closed,purity,c1_minus_c2", *(row % r for r in rows)]) + "\n"
+    # "%.17g" % x for every cell; an absent column is an empty cell.  Both
+    # renderers grow the text with += on one local name, which CPython
+    # resizes in place, so the text is never held twice.  _text is imported
+    # on first use: commands that render no trace skip its digit tables.
+    from . import _text
+
+    text = "t,f_numeric,f_closed,purity,c1_minus_c2\n"
+    for part in _text.lines([col for _, col in _trace_columns(trace)], False, ",", "\n"):
+        text += part
+    text += "\n"
+    return text
 
 
 def _trace_json(trace) -> str:
     # json.dumps(payload, indent=2), which writes a float (scan's are finite) as float.__repr__
-    fields = (
-        f'  "{name}": null' if col is None
-        else f'  "{name}": [\n    ' + ",\n    ".join(map(float.__repr__, col.tolist())) + "\n  ]"
-        for name, col in _trace_columns(trace)
-    )
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+    from . import _text
+
+    text = "{"
+    for i, (name, col) in enumerate(_trace_columns(trace)):
+        text += f'{"," if i else ""}\n  "{name}": '
+        if col is None:
+            text += "null"
+            continue
+        text += "[\n    "
+        for part in _text.lines([col], True, "", ",\n    "):
+            text += part
+        text += "\n  ]"
+    text += "\n}\n"
+    return text
 
 
 def _cmd_scan(ns: argparse.Namespace) -> tuple[str, int]:

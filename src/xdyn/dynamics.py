@@ -128,15 +128,18 @@ def _evolve_x(s: states.XState, p: model.CouplingParams, t) -> tuple:
     de_sq = -(v * v)  # delta_entry^2
     de_mu_diff = -2.0 * v * u  # delta_entry (mu+ - mu-)
     ad_v = (s.a - s.d) * v
-    return (
-        s.a * mu_prod - s.d * de_sq - s.w * de_mu_diff,
-        s.b - (s.b - s.c) * sin_sq,
-        s.c + (s.b - s.c) * sin_sq,
-        s.d * mu_prod - s.a * de_sq + s.w * de_mu_diff,
-        s.z + 1j * ((s.b - s.c) * cos_o * sin_o),
-        # w (mu-^2 - delta_entry^2) + (a - d) delta_entry mu-
-        s.w * (c * c - u * u - de_sq) + ad_v * u + 1j * (s.w * (-2.0 * c * u) + ad_v * c),
-    )
+    del v  # each grid-length intermediate is released after its last use
+    a = s.a * mu_prod - s.d * de_sq - s.w * de_mu_diff
+    b = s.b - (s.b - s.c) * sin_sq
+    c_t = s.c + (s.b - s.c) * sin_sq
+    del sin_sq
+    d = s.d * mu_prod - s.a * de_sq + s.w * de_mu_diff
+    del mu_prod, de_mu_diff
+    z = s.z + 1j * ((s.b - s.c) * cos_o * sin_o)
+    del cos_o, sin_o
+    # w (mu-^2 - delta_entry^2) + (a - d) delta_entry mu-
+    w = s.w * (c * c - u * u - de_sq) + ad_v * u + 1j * (s.w * (-2.0 * c * u) + ad_v * c)
+    return a, b, c_t, d, z, w
 
 
 def _x_overlap(x, y):

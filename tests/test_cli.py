@@ -3,11 +3,13 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from xdyn import CouplingParams, TimeGrid, XState, evolve_closed, preset_p_mixture, scan
+from xdyn._text import BLOCK
 from xdyn.cli import _trace_csv, _trace_json, main
 
 ISO = ["--jx", "1", "--jy", "1", "--jz", "1", "--field", "0"]
@@ -154,22 +156,70 @@ def test_scan_at_eta_zero_and_zero_field_is_quiet(capsys, coupling):
             assert code == 0 and out and err == ""
 
 
-@pytest.mark.parametrize(
-    "state",
-    [preset_p_mixture("phi_plus", 0.7), XState(a=0.5, b=0.2, c=0.2, d=0.1, z=0.1, w=0.1)],
-    ids=["bell", "generic"],
-)
-def test_trace_rendering_matches_per_value_formatting(state):
-    trace = scan(state, CouplingParams(1.0, 0.4, 0.5, 0.8), TimeGrid(t_max=7.0, steps=301))
+BELL = preset_p_mixture("phi_plus", 0.7)
+GENERIC = XState(a=0.5, b=0.2, c=0.2, d=0.1, z=0.1, w=0.1)
+COUPLING = (1.0, 0.4, 0.5, 0.8)
+# state, couplings, grid points
+RENDER_CASES = {
+    "bell": (BELL, COUPLING, 301),
+    "generic": (GENERIC, COUPLING, 301),  # f_closed is the empty column
+    "block-1": (BELL, COUPLING, BLOCK - 1),
+    "block": (BELL, COUPLING, BLOCK),
+    "block+1": (BELL, COUPLING, BLOCK + 1),
+    "3block+1": (BELL, COUPLING, 3 * BLOCK + 1),
+    "generic-3block+1": (GENERIC, COUPLING, 3 * BLOCK + 1),
+    # maximally mixed: every fidelity cell is 1
+    "stationary": (XState(a=0.25, b=0.25, c=0.25, d=0.25, z=0.0, w=0.0), COUPLING, 301),
+    # w = 0 and a = d with field and anisotropy of opposite signs: c1_minus_c2 prints -0
+    "minus-zero": (XState(a=0.3, b=0.2, c=0.2, d=0.3, z=0.1, w=0.0), (0.4, 1.0, 0.5, 0.8), 301),
+}
+
+
+def _per_value_csv(trace) -> str:
+    # the renderer as a loop over rows and values: the reference
     names = ["times", "f_numeric", "f_closed", "purity", "c1_minus_c2"]
     cols = [getattr(trace, name) for name in names]
     rows = [
         ",".join("" if col is None else format(float(col[k]), ".17g") for col in cols)
         for k in range(len(trace.times))
     ]
-    assert _trace_csv(trace) == "\n".join(["t,f_numeric,f_closed,purity,c1_minus_c2", *rows]) + "\n"
+    return "\n".join(["t,f_numeric,f_closed,purity,c1_minus_c2", *rows]) + "\n"
+
+
+def _per_value_json(trace) -> str:
+    names = ["times", "f_numeric", "f_closed", "purity", "c1_minus_c2"]
+    cols = [getattr(trace, name) for name in names]
     payload = {n: None if col is None else [float(x) for x in col] for n, col in zip(names, cols)}
-    assert _trace_json(trace) == json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("case", list(RENDER_CASES))
+def test_trace_rendering_matches_per_value_formatting(case):
+    state, coupling, steps = RENDER_CASES[case]
+    trace = scan(state, CouplingParams(*coupling), TimeGrid(t_max=7.0, steps=steps))
+    if case == "stationary":
+        assert set(trace.f_numeric.tolist()) == set(trace.f_closed.tolist()) == {1.0}
+    if case == "minus-zero":
+        assert np.any(np.signbit(trace.c1_minus_c2) & (trace.c1_minus_c2 == 0.0))
+    assert (trace.f_closed is None) == case.startswith("generic")
+    assert _trace_csv(trace) == _per_value_csv(trace)
+    assert _trace_json(trace) == _per_value_json(trace)
+
+
+@pytest.mark.parametrize("render", [_trace_csv, _trace_json], ids=["csv", "json"])
+def test_rendering_memory_stays_flat_beyond_one_block(render):
+    # working memory beyond the output text does not grow with the grid
+    def extra(steps: int) -> int:
+        trace = scan(BELL, CouplingParams(*COUPLING), TimeGrid(t_max=7.0, steps=steps))
+        render(trace)  # first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            text = render(trace)
+            return tracemalloc.get_traced_memory()[1] - len(text)
+        finally:
+            tracemalloc.stop()
+
+    assert extra(8 * BLOCK) <= 1.5 * extra(2 * BLOCK)
 
 
 def test_non_numeric_dash_token_is_still_a_usage_error(capsys):
