@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import _split
-
 # Rows per block: a block's working arrays take about 130 bytes per value,
 # whatever the length of the columns.
 BLOCK = 1024
@@ -37,6 +35,14 @@ _EXP = 40  # byte of the exponent; CPython's own text fills the bytes before it
 _SEP = 44  # byte of the separator, up to _WIDTH - _SEP bytes
 _K_MIN, _K_MAX = -6, 16  # decimal exponents of the domain
 _KS = _K_MAX - _K_MIN + 1
+
+
+def _split(x):
+    # Veltkamp split: hi carries the top 26 bits of x, and hi + lo == x.
+    t = x * 134217729.0
+    hi = t - (t - x)
+    return hi, x - hi
+
 
 _POW10 = np.array([float(10**q) for q in range(23)])  # exact doubles
 _POW10_HI, _POW10_LO = _split(_POW10)

@@ -23,6 +23,9 @@ from .validate import run_validation
 DEFAULT_STEPS = 5000
 DEFAULT_T_MAX = 10.0
 
+# Characters handed to the output file per write.
+EMIT_CHUNK = 64 * 1024
+
 # A token argparse should read as a negative number, not as an option.  Its
 # own pattern (Python 3.11) misses exponents, so "--field -1e-10" failed.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
@@ -213,6 +216,8 @@ def _cmd_classify(ns: argparse.Namespace) -> tuple[str, int]:
     s = parse_state_arg(ns.state)
     verdict = classify(s, p)
     payload = {"kind": verdict.kind, "reason": verdict.reason, "period": verdict.period}
+    if verdict.mode_periods is not None:
+        payload["mode_periods"] = verdict.mode_periods
     return json.dumps(payload, indent=2) + "\n", 0
 
 
@@ -302,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
     sub.add_parser(
-        "classify", parents=[coupling, state, out], help="stationary or periodic verdict"
+        "classify", parents=[coupling, state, out], help="stationary, periodic or quasi-periodic verdict"
     )
     sub.add_parser(
         "period", parents=[coupling, state, grid, out], help="detected oscillation period"
@@ -314,12 +319,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(fh, text: str) -> None:
+    # In slices, so the encoder holds EMIT_CHUNK characters at a time and
+    # never a bytes copy of the whole text.
+    for start in range(0, len(text), EMIT_CHUNK):
+        fh.write(text[start : start + EMIT_CHUNK])
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        _write(sys.stdout, text)
         return
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        _write(fh, text)
 
 
 def main(argv: list[str] | None = None) -> int:

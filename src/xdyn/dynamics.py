@@ -22,19 +22,20 @@ from .errors import (
     RangeError,
     first_bad,
 )
-from .fidelity import EIG_FLOOR, TRACE_TOL, DensityMatrix, _block_min_eigenvalue, _clamp_fidelity
+from .fidelity import BELL_DIAGONAL_TOL, EIG_FLOOR, TRACE_TOL, DensityMatrix, _block_min_eigenvalue, _clamp_fidelity
 from .fidelity import _phases, fidelity_bell_diagonal, is_bell_diagonal
-
-BLOCH_MATCH_TOL = 1e-12
 
 # A trajectory counts as stationary when the fidelity never drops further
 # than this below 1.
 STATIONARY_TOL = 1e-10
 
-COMMUTATOR_TOL = 1e-12
+# Two oscillating modes share a period when |Omega|/eta is n/q with
+# q <= MAX_DENOMINATOR, to this relative tolerance.
+COMMENSURATE_TOL = 1e-12
+MAX_DENOMINATOR = 12
 
-# Largest grid a TimeGrid accepts: 50 times classify's 20001 samples.  A
-# scan holds a few dozen arrays of this length at once, about 170 MB.
+# Largest grid a TimeGrid accepts.  A scan holds a few dozen arrays of the
+# grid's length at once, about 170 MB at this limit.
 MAX_STEPS = 1_000_000
 
 
@@ -97,16 +98,19 @@ class FidelityTrace:
 
 @dataclass(frozen=True)
 class StationarityVerdict:
-    """Outcome of ``classify``: stationary or periodic, with the reason.
+    """Outcome of ``classify``: stationary, periodic or quasi_periodic, with the reason.
 
-    period is present exactly for periodic verdicts.  reason is one of
-    zero_field, c1_equals_c2, maximally_mixed, generic (the last covers
-    periodic verdicts and everything decided empirically).
+    period is present exactly for periodic verdicts; mode_periods, the
+    periods (pi/eta, pi/|Omega|) of the two modes, exactly for
+    quasi_periodic ones.  reason is maximally_mixed, zero_field or
+    c1_equals_c2 for a stationary Bell-diagonal state, commutes for any
+    other stationary state, and generic for every state that moves.
     """
 
     kind: str
     reason: str
     period: float | None = None
+    mode_periods: tuple[float, float] | None = None
 
 
 def _evolve_x(s: states.XState, p: model.CouplingParams, t) -> tuple:
@@ -261,57 +265,65 @@ def nominal_period(p: model.CouplingParams) -> float | None:
     return 2.0 * math.pi / root
 
 
-def _assert_commutes(s: states.XState, p: model.CouplingParams):
-    h = model.hamiltonian(model.CouplingParams(p.jx, p.jy, p.jz, 0.0))
-    rho = states.xstate_matrix(s)
-    defect = linalg.max_abs(h @ rho - rho @ h)
-    if defect > COMMUTATOR_TOL:
-        raise ConsistencyError(
-            f"classify: zero-field Bell-diagonal state should commute, defect {defect}"
-        )
+def _mode_amplitudes(s: states.XState, p: model.CouplingParams, f: model.DerivedFrequencies) -> tuple:
+    """(B_eta, C): the amplitudes in Tr rho(0) rho(t) = A + B_eta cos 2 eta t + C cos 2 Omega t.
+
+    B_eta = ((a - d) Delta - 2 B w)^2 / (2 eta^2) and C = (b - c)^2 / 2, with
+    A = purity - B_eta - C.  B_eta is 0 at eta = 0, where B = Delta = 0.
+    Floats or arrays (stacks of states and couplings).
+    """
+    r = ((s.a - s.d) * f.delta - 2.0 * p.field * s.w) / (f.eta + (f.eta == 0.0))
+    return 0.5 * r * r, 0.5 * (s.b - s.c) * (s.b - s.c)
 
 
 def classify(s: states.XState, p: model.CouplingParams) -> StationarityVerdict:
-    """Stationary-or-periodic verdict for an initial state.
+    """Stationary, periodic or quasi-periodic verdict for an initial state.
 
-    Bell-diagonal states are decided in closed form (checking the most
-    specific reason first so the maximally mixed state is reported as
-    such); anything else is decided empirically from a scan that covers a
-    few periods of both the outer and inner oscillation.
+    Bell-diagonal states are decided by their Bloch coefficients (the most
+    specific reason first, so the maximally mixed state is reported as
+    such).  Any other state is decided from its two mode amplitudes: a mode
+    at zero frequency is constant, and with B and C the amplitudes of the
+    others, 1 - F(t) never exceeds 2 (B + C) / purity, so the state is
+    stationary (it commutes with H) when that bound is below
+    STATIONARY_TOL.  A mode is live when it alone can move 1 - F by
+    STATIONARY_TOL / 2.  One live mode gives its period: nominal_period(p)
+    for eta, pi/|Omega| for Omega.  Two give q nominal_period(p) when
+    |Omega|/eta = n/q in lowest terms with q <= MAX_DENOMINATOR (to
+    COMMENSURATE_TOL), and quasi_periodic otherwise.
     """
     v = states.to_bloch(s)
-    f = model.frequencies(p)
     if is_bell_diagonal(v):
         coeffs = (v.s1, v.s2, v.c1, v.c2, v.c3)
-        if all(abs(x) <= BLOCH_MATCH_TOL for x in coeffs):
+        if all(abs(x) <= BELL_DIAGONAL_TOL for x in coeffs):
             return StationarityVerdict(kind="stationary", reason="maximally_mixed")
         if p.field == 0.0:
-            _assert_commutes(s, p)
             return StationarityVerdict(kind="stationary", reason="zero_field")
-        if abs(v.c1 - v.c2) <= BLOCH_MATCH_TOL:
+        if abs(v.c1 - v.c2) <= BELL_DIAGONAL_TOL:
             return StationarityVerdict(kind="stationary", reason="c1_equals_c2")
         return StationarityVerdict(kind="periodic", reason="generic", period=nominal_period(p))
 
-    # Empirical route: window covering three periods of each active mode.
-    windows = []
-    fastest = []
-    if f.eta > 0.0:
-        windows.append(3.0 * math.pi / f.eta)
-        fastest.append(math.pi / f.eta)
-    if f.omega != 0.0:
-        windows.append(6.0 * math.pi / max(abs(f.omega), f.eta))
-        fastest.append(math.pi / abs(f.omega))
-    if not windows:
-        # eta = omega = 0 forces field = jx = jy = 0, leaving a Hamiltonian
-        # diagonal in the X basis: every X state commutes with it.
-        _assert_commutes(s, p)
-        return StationarityVerdict(kind="stationary", reason="generic")
-    t_max = sum(windows)
-    steps = min(20001, max(2001, int(math.ceil(t_max / min(fastest)) * 300) + 1))
-    trace = scan(s, p, TimeGrid(t_max=t_max, steps=steps))
-    if float(np.max(1.0 - trace.f_numeric)) < STATIONARY_TOL:
-        return StationarityVerdict(kind="stationary", reason="generic")
-    return StationarityVerdict(kind="periodic", reason="generic", period=detect_period(trace))
+    f = model.frequencies(p)
+    if not (math.isfinite(f.eta) and math.isfinite(f.omega)):
+        raise RangeError(f"classify: frequencies overflow a float (eta {f.eta}, omega {f.omega})")
+    b_eta, c = _mode_amplitudes(s, p, f)
+    if f.omega == 0.0:
+        c = 0.0
+    budget = STATIONARY_TOL * s.purity
+    if 2.0 * (b_eta + c) < budget:
+        return StationarityVerdict(kind="stationary", reason="commutes")
+    live_eta, live_omega = 4.0 * b_eta >= budget, 4.0 * c >= budget
+    if not live_omega:
+        return StationarityVerdict(kind="periodic", reason="generic", period=nominal_period(p))
+    if not live_eta:
+        return StationarityVerdict(kind="periodic", reason="generic", period=math.pi / abs(f.omega))
+    ratio = abs(f.omega) / f.eta
+    for q in range(1, MAX_DENOMINATOR + 1):
+        x = ratio * q
+        if math.isfinite(x) and abs(x - round(x)) <= COMMENSURATE_TOL * x:
+            return StationarityVerdict(kind="periodic", reason="generic", period=q * nominal_period(p))
+    return StationarityVerdict(
+        kind="quasi_periodic", reason="generic", mode_periods=(nominal_period(p), math.pi / abs(f.omega))
+    )
 
 
 def detect_period(trace: FidelityTrace, tol: float = STATIONARY_TOL) -> float | None:
@@ -324,8 +336,10 @@ def detect_period(trace: FidelityTrace, tol: float = STATIONARY_TOL) -> float | 
     the estimate matches that loop (kept as the reference in the tests)
     bit for bit.
     Fewer than two usable minima raises InsufficientSpanError since no
-    spacing exists to average.  The mean spacing is an empirical estimate:
-    exact for single-mode traces, a summary statistic for mixed ones.
+    spacing exists to average.  The mean spacing is an empirical estimate
+    that backs the ``period`` command: it approaches the period classify
+    gives in closed form for a single-mode trace, and is a summary
+    statistic for a two-mode one.
     """
     f = np.asarray(trace.f_numeric, dtype=float)
     times = np.asarray(trace.times, dtype=float)

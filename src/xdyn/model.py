@@ -7,7 +7,6 @@ pair {|01>, |10>}, which is what makes the closed forms below possible.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,52 +76,22 @@ class DerivedFrequencies:
     delta: float
 
 
-def _split(x):
-    # Veltkamp split: hi carries the top 26 bits of x, and hi + lo == x.
-    t = x * 134217729.0
-    hi = t - (t - x)
-    return hi, x - hi
-
-
-def _two_product(x, y):
-    # Dekker: z + zz == x * y exactly.
-    xh, xl = _split(x)
-    yh, yl = _split(y)
-    p = xh * yh
-    q = xh * yl + xl * yh
-    z = p + q
-    return z, p - z + q + xl * yl
+# math.hypot applied element by element, returning an object array.
+_HYPOT_EACH = np.frompyfunc(math.hypot, 2, 1)
 
 
 def _hypot(x, y):
     """math.hypot(x, y), for floats or arrays.
 
     numpy's hypot rounds differently from CPython's in about one case in
-    500, so on arrays this takes CPython's steps one by one (scale by a
-    power of two, exact squares, compensated sums, one Newton correction)
-    and gives a stack of couplings the bits each gets on its own.
+    500, so arrays call math.hypot on each element, which gives a stack of
+    couplings the bits each gets on its own.  One call per element is
+    faster than array arithmetic for the stacks of a few hundred that
+    validate evaluates.
     """
     if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
         return math.hypot(x, y)
-    x, y = np.abs(x), np.abs(y)
-    big = np.maximum(x, y)
-    normal = (big >= sys.float_info.min) & (big < math.inf)
-    unit = np.where(normal, 1.0, sys.float_info.min)  # CPython rescales subnormals first
-    scale = np.ldexp(1.0, -np.frexp(big / unit)[1])
-    x, y = x / unit * scale, y / unit * scale
-    with np.errstate(invalid="ignore", divide="ignore"):  # 0 and inf are taken from big below
-        # csum starts at 1 and takes x^2 and y^2 exactly; frac1 and frac2
-        # keep the low parts of the squares and the rounding of each sum
-        csum, frac1, frac2 = 1.0, 0.0, 0.0
-        for hi, lo in (_two_product(x, x), _two_product(y, y)):
-            total = csum + hi
-            frac1, frac2, csum = frac1 + lo, frac2 + ((csum - total) + hi), total
-        h = np.sqrt(csum - 1.0 + (frac1 + frac2))
-        hi, lo = _two_product(-h, h)  # subtract h^2 back out for one Newton correction
-        total = csum + hi
-        frac1, frac2, csum = frac1 + lo, frac2 + ((csum - total) + hi), total
-        h = (h + (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)) / scale * unit
-    return np.where((big > 0.0) & (big < math.inf), h, big)
+    return np.asarray(_HYPOT_EACH(x, y), dtype=float)
 
 
 def frequencies(p: CouplingParams) -> DerivedFrequencies:

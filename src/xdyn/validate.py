@@ -31,6 +31,7 @@ from .dynamics import (
     TimeGrid,
     _checked_fidelity,
     _evolve_x,
+    _mode_amplitudes,
     c_difference_cos2,
     c_difference_predicted,
     evolve_closed,
@@ -145,10 +146,15 @@ def _params_from(u, k=None) -> model.CouplingParams:
     return model.CouplingParams(jx=jx, jy=jy, jz=jz, field=b)
 
 
+def _populations(u):
+    # a, b, c, d from 4 uniform columns
+    pops = u[..., :4] + 1e-3
+    return np.moveaxis(pops / pops.sum(axis=-1, keepdims=True), -1, 0)
+
+
 def _xstate_from(u) -> states.XState:
     # Populations from 4 columns, then each coherence a fraction of its bound.
-    pops = u[..., :4] + 1e-3
-    a, b, c, d = np.moveaxis(pops / pops.sum(axis=-1, keepdims=True), -1, 0)
+    a, b, c, d = _populations(u)
     return states.XState(a=a, b=b, c=c, d=d, z=u[..., 4] * np.sqrt(b * c), w=u[..., 5] * np.sqrt(a * d))
 
 
@@ -281,8 +287,16 @@ def _check_bell_fidelity(rng, cases: int) -> CheckResult:
     return worst.result("bell-diagonal closed-form fidelity", 1e-10)
 
 
-def _errata_overlap_aggregates(rng, cases: int) -> list[ErrataFinding]:
-    pop, pop_fixed, bloch, bloch_fixed, bell = (_Extreme() for _ in range(5))
+def _three_term_overlap(s: states.XState, p: model.CouplingParams, f: model.DerivedFrequencies, t):
+    # Tr rho(0) rho(t) = A + B cos 2 eta t + C cos 2 Omega t, the law classify reads its verdicts from
+    b_eta, c = _mode_amplitudes(s, p, f)
+    return s.purity - b_eta - c + b_eta * np.cos(2.0 * f.eta * t) + c * np.cos(2.0 * f.omega * t)
+
+
+def _errata_overlap_aggregates(rng, cases: int) -> tuple[list[ErrataFinding], CheckResult]:
+    """The two aggregate findings, and the binding check of the three-term law
+    on the same oracle overlaps."""
+    pop, pop_fixed, bloch, bloch_fixed, bell, law = (_Extreme() for _ in range(6))
     fit = _Fit()
     for k, u in _blocks(rng, max(60, cases // 2), 14, BLOCK // 2):  # two states per case
         s = _xstate_from(u[:, :6])
@@ -303,6 +317,7 @@ def _errata_overlap_aggregates(rng, cases: int) -> list[ErrataFinding]:
         fit.add(resid_pop, s.w * (s.a - s.d) * p.field * f.delta * s2e)
         bell.add(k, abs(oracle_bd - overlap_population_form(bd, p, t)))
         bell.add(k, abs(oracle_bd - overlap_bloch_form(states.to_bloch(bd), p, t)))
+        law.add(k, np.max(abs(np.stack([oracle, oracle_bd]) - _three_term_overlap(pair, p, f, t)), axis=0))
 
     tol = 1e-10
     pop_finding = ErrataFinding(
@@ -324,7 +339,7 @@ def _errata_overlap_aggregates(rng, cases: int) -> list[ErrataFinding]:
             f"residual with correction {bloch_fixed.value:.3e}"
         ),
     )
-    return [pop_finding, bloch_finding]
+    return [pop_finding, bloch_finding], law.result("three-term overlap law vs oracle", tol)
 
 
 def _errata_inner_sign(rng, cases: int) -> ErrataFinding:
@@ -442,6 +457,31 @@ def _errata_c_diff_law(rng, cases: int) -> ErrataFinding:
     )
 
 
+def _commuting_from(u) -> tuple[states.XState, model.CouplingParams]:
+    """A state and couplings under which it is stationary, from 9 uniform columns.
+
+    Populations as _xstate_from draws them, with b and c replaced by their
+    mean; z is a fraction of that mean and w at least half its bound, which
+    keeps |B| below about 30.  The field then solves (a - d) Delta = 2 B w,
+    which holds for w of either sign.
+    """
+    a, b, c, d = _populations(u)
+    mid = (b + c) / 2.0
+    w = (0.5 + 0.5 * u[..., 5]) * np.sqrt(a * d)
+    jx, jy, jz = np.moveaxis(_uniform(u[..., 6:9], -2.0, 2.0), -1, 0)
+    field = (a - d) * (jx - jy) / 2.0 / (2.0 * w)
+    return states.XState(a=a, b=mid, c=mid, d=d, z=u[..., 4] * mid, w=w), model.CouplingParams(jx, jy, jz, field)
+
+
+def _check_commuting_family(rng, cases: int) -> CheckResult:
+    worst = _Extreme()
+    for k, u in _blocks(rng, max(20, cases // 10), 10):
+        s, p = _commuting_from(u[:, :9])
+        t = _uniform(u[:, 9], 0.0, 10.0)
+        worst.add(k, 1.0 - fidelity(states.to_density(s), evolve_oracle(s, p, t)))
+    return worst.result("commuting family: oracle fidelity loss", 1e-10)
+
+
 def run_validation(seed: int = 0, cases: int = 200) -> ValidationReport:
     """Run the binding checks and the adjudication suite.
 
@@ -462,11 +502,14 @@ def run_validation(seed: int = 0, cases: int = 200) -> ValidationReport:
     ]
     checks.extend(_check_conservation(rng, cases))
     checks.append(_check_bell_fidelity(rng, cases))
-    errata = []
-    errata.extend(_errata_overlap_aggregates(rng, cases))
+    errata, three_term = _errata_overlap_aggregates(rng, cases)
     errata.append(_errata_inner_sign(rng, cases))
     errata.append(_errata_c2_shortcut(rng, cases))
     errata.append(_errata_werner_value(rng, cases))
     errata.append(_errata_normalizer(rng, cases))
     errata.append(_errata_c_diff_law(rng, cases))
+    # The newer checks come last, in the report and in the random stream,
+    # so every earlier line keeps its bytes.
+    checks.append(three_term)
+    checks.append(_check_commuting_family(rng, cases))
     return ValidationReport(seed=seed, cases=cases, checks=checks, errata=errata)

@@ -10,7 +10,7 @@ import pytest
 
 from xdyn import CouplingParams, TimeGrid, XState, evolve_closed, preset_p_mixture, scan
 from xdyn._text import BLOCK
-from xdyn.cli import _trace_csv, _trace_json, main
+from xdyn.cli import _emit, _trace_csv, _trace_json, main
 
 ISO = ["--jx", "1", "--jy", "1", "--jz", "1", "--field", "0"]
 
@@ -220,6 +220,25 @@ def test_rendering_memory_stays_flat_beyond_one_block(render):
             tracemalloc.stop()
 
     assert extra(8 * BLOCK) <= 1.5 * extra(2 * BLOCK)
+
+
+@pytest.mark.parametrize("render", [_trace_csv, _trace_json], ids=["csv", "json"])
+def test_written_output_is_never_copied_whole(render, tmp_path):
+    # --out gets the text in slices: while it is written, memory holds the
+    # text and well under half its size beyond it, not an encoded copy
+    trace = scan(BELL, CouplingParams(*COUPLING), TimeGrid(t_max=7.0, steps=8 * BLOCK))
+    out = tmp_path / "trace.out"
+    _emit(render(trace), str(out))  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        text = render(trace)
+        tracemalloc.reset_peak()
+        _emit(text, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text(encoding="utf-8") == text
+    assert peak - len(text) < 0.5 * len(text)
 
 
 def test_non_numeric_dash_token_is_still_a_usage_error(capsys):

@@ -30,6 +30,7 @@ from xdyn import (
     expm,
     fidelity,
     fidelity_bell_diagonal,
+    frequencies,
     hamiltonian,
     nominal_period,
     overlap_bloch_form,
@@ -42,10 +43,12 @@ from xdyn import (
     scan,
     to_bloch,
     to_density,
+    xstate_matrix,
 )
 from xdyn import dynamics
 from xdyn.dynamics import FidelityTrace
 from xdyn.linalg import max_abs
+from xdyn.validate import _commuting_from
 
 from conftest import random_bell_diagonal, random_params, random_xstate
 
@@ -373,27 +376,175 @@ def test_classify_psi_mixtures_stationary_any_field(rng):
         assert verdict.kind == "stationary"
 
 
-def test_classify_non_bell_stationary_empirically():
+def test_classify_non_bell_stationary_commutes():
     # polarized but commuting: diagonal outer block, inner aligned with
     # the exchange term, jx = jy so the outer coupling vanishes
     s = XState(a=0.4, b=0.2, c=0.2, d=0.2, z=0.1, w=0.0)
     assert abs(to_bloch(s).s1) > 0.1  # genuinely outside the Bell family
     verdict = classify(s, CouplingParams(1.0, 1.0, 0.4, 0.9))
-    assert (verdict.kind, verdict.reason) == ("stationary", "generic")
-    assert verdict.period is None
+    assert (verdict.kind, verdict.reason) == ("stationary", "commutes")
+    assert verdict.period is None and verdict.mode_periods is None
 
 
 def test_classify_non_bell_periodic():
+    # two live modes: eta = hypot(0.9, 0.4) and Omega = 0.9 are incommensurate
     s = XState(a=0.4, b=0.25, c=0.15, d=0.2, z=0.1, w=0.15)
-    verdict = classify(s, CouplingParams(1.3, 0.5, 0.2, 0.9))
-    assert verdict.kind == "periodic"
-    assert verdict.period is not None and verdict.period > 0.0
+    p = CouplingParams(1.3, 0.5, 0.2, 0.9)
+    verdict = classify(s, p)
+    assert (verdict.kind, verdict.reason, verdict.period) == ("quasi_periodic", "generic", None)
+    assert verdict.mode_periods == (nominal_period(p), math.pi / 0.9)
 
 
 def test_classify_free_hamiltonian_everything_stationary():
     s = XState(a=0.4, b=0.25, c=0.15, d=0.2, z=0.1, w=0.15)
     verdict = classify(s, CouplingParams(0.0, 0.0, 0.4, 0.0))
-    assert (verdict.kind, verdict.reason) == ("stationary", "generic")
+    assert (verdict.kind, verdict.reason) == ("stationary", "commutes")
+
+
+def _classify_empirically(s, p) -> bool:
+    """Whether a state is stationary, by the scan classify made before its closed form.
+
+    The reference for the closed form: a window of three periods of each
+    mode, 300 samples per period of the fastest, stationary when 1 - F
+    stays below STATIONARY_TOL on the whole grid.
+    """
+    f = frequencies(p)
+    windows, fastest = [], []
+    if f.eta > 0.0:
+        windows.append(3.0 * math.pi / f.eta)
+        fastest.append(math.pi / f.eta)
+    if f.omega != 0.0:
+        windows.append(6.0 * math.pi / max(abs(f.omega), f.eta))
+        fastest.append(math.pi / abs(f.omega))
+    if not windows:
+        return True  # eta = omega = 0: H is diagonal and every X state commutes with it
+    t_max = sum(windows)
+    steps = min(20001, max(2001, int(math.ceil(t_max / min(fastest)) * 300) + 1))
+    trace = scan(s, p, TimeGrid(t_max=t_max, steps=steps))
+    return float(np.max(1.0 - trace.f_numeric)) < dynamics.STATIONARY_TOL
+
+
+def _state_at(stack, i) -> XState:
+    return XState(*(float(getattr(stack, n)[i]) for n in "abcdzw"))
+
+
+def _params_at(stack, i) -> CouplingParams:
+    return CouplingParams(*(float(getattr(stack, n)[i]) for n in ("jx", "jy", "jz", "field")))
+
+
+def test_classify_agrees_with_the_empirical_route(rng):
+    # 250 generic draws and 250 on the stationary family
+    family_states, family_params = _commuting_from(rng.random((250, 9)))
+    stationary = 0
+    for k in range(500):
+        if k % 2:
+            s, p = _state_at(family_states, k // 2), _params_at(family_params, k // 2)
+        else:
+            s, p = random_xstate(rng), random_params(rng)
+        verdict = classify(s, p)
+        assert (verdict.kind == "stationary") == _classify_empirically(s, p), (s, p, verdict)
+        stationary += verdict.kind == "stationary"
+    assert stationary >= 250
+
+
+# Grid values keep each draw either on the stationary family or clearly off
+# it, away from the band between the two tolerances (a commutator of 1e-12
+# against a fidelity loss of 1e-10, quadratic in the amplitudes).
+_GRID_FREQUENCY = st.integers(-20, 20).map(lambda n: n / 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pops=st.lists(st.integers(1, 20), min_size=4, max_size=4),
+    z_frac=st.integers(0, 10),
+    w_frac=st.integers(1, 10),
+    omega=_GRID_FREQUENCY,
+    delta=_GRID_FREQUENCY,
+    jz=_GRID_FREQUENCY,
+    field=_GRID_FREQUENCY,
+    inner_on=st.booleans(),
+    outer_on=st.booleans(),
+)
+def test_classify_stationary_iff_commutes(pops, z_frac, w_frac, omega, delta, jz, field, inner_on, outer_on):
+    a, b, c, d = (x / sum(pops) for x in pops)
+    if inner_on:
+        b = c = (b + c) / 2.0
+    w = w_frac / 10.0 * math.sqrt(a * d)
+    if outer_on:
+        field = (a - d) * delta / (2.0 * w)
+    s = XState(a=a, b=b, c=c, d=d, z=z_frac / 10.0 * math.sqrt(b * c), w=w)
+    p = CouplingParams(omega + delta, omega - delta, jz, field)
+    h, rho = hamiltonian(p), xstate_matrix(s)
+    commutes = max_abs(h @ rho - rho @ h) <= 1e-12
+    assert (classify(s, p).kind == "stationary") == commutes
+
+
+def test_classify_single_mode_periods_match_detect_period(rng):
+    # one mode each: Bell-diagonal (eta), b = c off the family (eta), and
+    # the outer block on the family with b != c (Omega)
+    family_states, family_params = _commuting_from(rng.random((10, 9)))
+    for k in range(30):
+        if k % 3 == 0:
+            s, p = random_bell_diagonal(rng), random_params(rng)
+        elif k % 3 == 1:
+            x = random_xstate(rng)
+            mid = (x.b + x.c) / 2.0
+            s, p = XState(a=x.a, b=mid, c=mid, d=x.d, z=x.z, w=x.w), random_params(rng)
+        else:
+            f = _state_at(family_states, k // 3)
+            s = XState(a=f.a, b=f.b + 0.02, c=f.c - 0.02, d=f.d, z=0.0, w=f.w)
+            p = _params_at(family_params, k // 3)
+        verdict = classify(s, p)
+        assert verdict.kind == "periodic" and verdict.mode_periods is None, (s, p, verdict)
+        trace = scan(s, p, TimeGrid(t_max=6.0 * verdict.period, steps=6001))
+        assert abs(detect_period(trace) - verdict.period) <= 1e-3 * verdict.period
+
+
+ROADMAP_STATE = XState(0.4, 0.3, 0.2, 0.1, 0.1, 0.1)
+
+
+def test_classify_two_incommensurate_modes_are_quasi_periodic():
+    p = CouplingParams(1.3, 0.4, 0.5, 0.7)  # eta = 0.832, Omega = 0.85
+    verdict = classify(ROADMAP_STATE, p)
+    assert (verdict.kind, verdict.reason, verdict.period) == ("quasi_periodic", "generic", None)
+    assert [round(x, 3) for x in verdict.mode_periods] == [3.775, 3.696]
+
+
+def test_classify_commuting_family_state():
+    s = XState(0.45, 0.2, 0.2, 0.15, z=0.1, w=0.3 * 0.45 / 1.4)  # (a - d) Delta = 2 B w
+    verdict = classify(s, CouplingParams(1.3, 0.4, 0.5, 0.7))
+    assert (verdict.kind, verdict.reason, verdict.period, verdict.mode_periods) == ("stationary", "commutes", None, None)
+
+
+@pytest.mark.parametrize("ratio, q", [(1.0, 1), (2.0, 1), (1.5, 2), (17.0 / 12.0, 12), (18.0 / 13.0, None)])
+def test_classify_commensurate_modes_are_periodic(ratio, q):
+    # |Omega|/eta = ratio, as field 0.6 and Delta 0.8 make eta = 1; denominators beyond 12 count as none
+    p = CouplingParams(ratio + 0.8, ratio - 0.8, 0.3, 0.6)
+    verdict = classify(ROADMAP_STATE, p)
+    assert verdict.kind == ("quasi_periodic" if q is None else "periodic")
+    assert verdict.period == (None if q is None else q * nominal_period(p))
+
+
+@pytest.mark.parametrize(
+    "p, kind, period",
+    [
+        (CouplingParams(0.9, 0.9, 0.3, 0.0), "periodic", lambda p: math.pi / 0.9),  # eta = 0: the Omega mode
+        (CouplingParams(0.9, -0.9, 0.3, 0.5), "periodic", nominal_period),  # Omega = 0: the eta mode
+        (CouplingParams(0.0, 0.0, 0.3, 0.0), "stationary", lambda p: None),  # eta = Omega = 0
+        (CouplingParams(1.3, 0.4, 0.3, 0.0), "periodic", lambda p: 9 * nominal_period(p)),  # zero field: Omega/eta = 17/9
+    ],
+    ids=["eta_zero", "omega_zero", "eta_omega_zero", "zero_field"],
+)
+def test_classify_corners(p, kind, period):
+    verdict = classify(ROADMAP_STATE, p)
+    assert (verdict.kind, verdict.reason) == (kind, "commutes" if kind == "stationary" else "generic")
+    assert verdict.period == period(p)
+
+
+def test_classify_refuses_overflowing_frequencies():
+    # Delta = (1e308 + 1e308) / 2 overflows to inf, and eta with it
+    with pytest.raises(RangeError, match="overflow"):
+        classify(ROADMAP_STATE, CouplingParams(1e308, -1e308, 0.5, 0.7))
 
 
 def test_detect_period_flat_trace_is_none():

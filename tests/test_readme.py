@@ -30,12 +30,22 @@ def _examples() -> list[tuple[list[str], int | None, list[str], bool]]:
 EXAMPLES = _examples()
 
 
+def _ids() -> list[str]:
+    # the subcommand, numbered from its second example on
+    ids, seen = [], {}
+    for argv, *_ in EXAMPLES:
+        n = seen[argv[0]] = seen.get(argv[0], 0) + 1
+        ids.append(argv[0] if n == 1 else f"{argv[0]}-{n}")
+    return ids
+
+
 def test_readme_shows_the_examples():
     assert {argv[0] for argv, *_ in EXAMPLES} >= {"classify", "period", "scan", "validate"}
 
 
-@pytest.mark.parametrize("argv, head, shown, whole", EXAMPLES, ids=[e[0][0] for e in EXAMPLES])
-def test_readme_example_output(capsys, argv, head, shown, whole):
+@pytest.mark.parametrize("argv, head, shown, whole", EXAMPLES, ids=_ids())
+def test_readme_example_output(capsys, monkeypatch, argv, head, shown, whole):
+    monkeypatch.chdir(README.parent)  # state files are named relative to the repository root
     assert cli.main(argv) == 0
     out = capsys.readouterr().out.splitlines()[:head]
     if whole:

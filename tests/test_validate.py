@@ -20,6 +20,8 @@ EXPECTED_CHECKS = {
     "scan conservation: eigenvalue floor",
     "scan conservation: purity drift",
     "bell-diagonal closed-form fidelity",
+    "three-term overlap law vs oracle",
+    "commuting family: oracle fidelity loss",
 }
 
 # the five widely printed shortcut forms plus two more bugs the oracle caught
@@ -108,7 +110,10 @@ def test_worst_index_replays_the_worst_draw():
     t = float(_uniform(u[4], 0.0, 10.0))
     replay = max_abs(propagator(p, t, include_global_phase=True).matrix - expm(-1j * t * hamiltonian(p)))
     assert replay == check.observed
-    assert all(c.worst_index is not None and 0 <= c.worst_index < cases for c in run_validation(5, 30).checks)
+    # the three-term law is judged on the overlap adjudication's max(60, cases // 2) draws
+    draws = {"three-term overlap law vs oracle": 60}
+    checks = run_validation(5, 30).checks
+    assert all(c.worst_index is not None and 0 <= c.worst_index < draws.get(c.name, 30) for c in checks)
 
 
 def test_worst_index_is_not_rendered():
