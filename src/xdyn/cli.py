@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 on validation or domain errors, 2 on usage
-errors (bad flags, malformed state sources).  Data goes to --out or
-stdout, diagnostics to stderr.  Reruns with identical flags and seed are
-byte-identical.
+errors (bad flags, malformed state sources, an --out path that cannot be
+opened).  Data goes to --out or stdout, diagnostics to stderr.  Reruns
+with identical flags and seed are byte-identical.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import sys
 
 from . import model, states
 from .dynamics import TimeGrid, classify, detect_period, evolve_closed, nominal_period, scan
-from .errors import StateFileError, XdynError
+from .errors import DomainError, OutputFileError, StateFileError, XdynError
 from .fidelity import purity
 from .validate import run_validation
 
@@ -226,6 +226,14 @@ def _cmd_period(ns: argparse.Namespace) -> tuple[str, int]:
     s = parse_state_arg(ns.state)
     grid = _grid_from(ns, p)
     trace = scan(s, p, grid)
+    # After the scan, so that every request the scan refuses keeps its message
+    verdict = classify(s, p)
+    if verdict.kind == "quasi_periodic":
+        eta_period, omega_period = verdict.mode_periods
+        raise DomainError(
+            f"period: the trace is quasi-periodic: its mode_periods {eta_period!r} (pi/eta) "
+            f"and {omega_period!r} (pi/|Omega|) share no common period"
+        )
     payload = {
         "t_max": grid.t_max,
         "steps": grid.steps,
@@ -240,17 +248,88 @@ def _cmd_validate(ns: argparse.Namespace) -> tuple[str, int]:
     return report.render(), 0 if report.passed else 1
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "evolve": _cmd_evolve,
-    "scan": _cmd_scan,
-    "classify": _cmd_classify,
-    "period": _cmd_period,
-    "validate": _cmd_validate,
+def _arg(flag: str, **kwargs) -> tuple[str, dict]:
+    """One argument as (flag, add_argument keywords)."""
+    return flag, kwargs
+
+
+# Argument groups shared by several subcommands, in the order --help lists them.
+_COUPLING = tuple(
+    _arg(flag, type=float, required=True, help=help_text)
+    for flag, help_text in (
+        ("--jx", "x exchange coupling"),
+        ("--jy", "y exchange coupling"),
+        ("--jz", "z exchange coupling"),
+        ("--field", "uniform z field strength"),
+    )
+)
+_STATE = (
+    _arg(
+        "--state",
+        required=True,
+        help=(
+            "initial state: bell_diag:c1,c2,c3 | phi_plus_mix:p | "
+            "psi_plus_mix:p | werner:x | file:PATH"
+        ),
+    ),
+)
+_GRID = (
+    _arg(
+        "--t-max",
+        type=float,
+        default=None,
+        help="scan horizon (default: three nominal periods, or 10 if none)",
+    ),
+    _arg("--steps", type=int, default=DEFAULT_STEPS, help="grid points, at least 2"),
+)
+_OUT = (_arg("--out", default=None, help="write output here instead of stdout"),)
+_PHASE = _arg("--phase", action="store_true", help="include the global phase factor")
+
+# Subcommand -> (handler, help text, its arguments: shared groups first, then its own).
+_COMMANDS = {
+    "spectrum": (
+        _cmd_spectrum,
+        "energies and eigenvectors",
+        _COUPLING + _OUT
+        + (_arg("--t", type=float, default=None, help="also print the propagator at t"), _PHASE),
+    ),
+    "evolve": (
+        _cmd_evolve,
+        "evolved density matrix at one time",
+        _COUPLING + _STATE + _OUT
+        + (_arg("--t", type=float, required=True, help="evolution time"), _PHASE),
+    ),
+    "scan": (
+        _cmd_scan,
+        "fidelity trace over a time grid",
+        _COUPLING + _STATE + _GRID + _OUT
+        + (_arg("--format", choices=("csv", "json"), default="csv", help="output format"),),
+    ),
+    "classify": (
+        _cmd_classify,
+        "stationary, periodic or quasi-periodic verdict",
+        _COUPLING + _STATE + _OUT,
+    ),
+    "period": (_cmd_period, "detected oscillation period", _COUPLING + _STATE + _GRID + _OUT),
+    "validate": (
+        _cmd_validate,
+        "oracle checks and formula adjudication",
+        _OUT
+        + (
+            _arg("--seed", type=int, default=0, help="RNG seed"),
+            _arg("--cases", type=int, default=200, help="draw budget, at least 10"),
+        ),
+    ),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The xdyn parser; when command names a subcommand, only it gets its arguments.
+
+    Every subcommand is registered either way, so the main parser's usage
+    line and help list all six.  A parser built for one command parses
+    that command's argv exactly as the full parser does.
+    """
     parser = _Parser(
         prog="xdyn",
         description=(
@@ -259,63 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    coupling = argparse.ArgumentParser(add_help=False)
-    for flag, help_text in (
-        ("--jx", "x exchange coupling"),
-        ("--jy", "y exchange coupling"),
-        ("--jz", "z exchange coupling"),
-        ("--field", "uniform z field strength"),
-    ):
-        coupling.add_argument(flag, type=float, required=True, help=help_text)
-
-    state = argparse.ArgumentParser(add_help=False)
-    state.add_argument(
-        "--state",
-        required=True,
-        help=(
-            "initial state: bell_diag:c1,c2,c3 | phi_plus_mix:p | "
-            "psi_plus_mix:p | werner:x | file:PATH"
-        ),
-    )
-
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument(
-        "--t-max",
-        type=float,
-        default=None,
-        help="scan horizon (default: three nominal periods, or 10 if none)",
-    )
-    grid.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="grid points, at least 2")
-
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default=None, help="write output here instead of stdout")
-
-    p_spectrum = sub.add_parser("spectrum", parents=[coupling, out], help="energies and eigenvectors")
-    p_spectrum.add_argument("--t", type=float, default=None, help="also print the propagator at t")
-    p_spectrum.add_argument("--phase", action="store_true", help="include the global phase factor")
-
-    p_evolve = sub.add_parser(
-        "evolve", parents=[coupling, state, out], help="evolved density matrix at one time"
-    )
-    p_evolve.add_argument("--t", type=float, required=True, help="evolution time")
-    p_evolve.add_argument("--phase", action="store_true", help="include the global phase factor")
-
-    p_scan = sub.add_parser(
-        "scan", parents=[coupling, state, grid, out], help="fidelity trace over a time grid"
-    )
-    p_scan.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-
-    sub.add_parser(
-        "classify", parents=[coupling, state, out], help="stationary, periodic or quasi-periodic verdict"
-    )
-    sub.add_parser(
-        "period", parents=[coupling, state, grid, out], help="detected oscillation period"
-    )
-
-    p_val = sub.add_parser("validate", parents=[out], help="oracle checks and formula adjudication")
-    p_val.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p_val.add_argument("--cases", type=int, default=200, help="draw budget, at least 10")
+    build_all = command not in _COMMANDS
+    for name, (_, help_text, arguments) in _COMMANDS.items():
+        sub_parser = sub.add_parser(name, help=help_text)
+        if build_all or name == command:
+            for flag, kwargs in arguments:
+                sub_parser.add_argument(flag, **kwargs)
     return parser
 
 
@@ -330,32 +358,37 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         _write(sys.stdout, text)
         return
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(out_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OutputFileError(f"--out: cannot write {out_path!r}: {exc}") from None
+    with fh:
         _write(fh, text)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The main parser takes no option values, so its first non-option token
+    # is the subcommand argparse dispatches to.
+    command = next((token for token in argv if not token.startswith("-")), None)
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        text, code = _HANDLERS[ns.command](ns)
-    except StateFileError as exc:
+        text, code = _COMMANDS[ns.command][0](ns)
+        _emit(text, ns.out)
+    except (StateFileError, OutputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except XdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        _emit(text, ns.out)
     except BrokenPipeError:
         # downstream consumer (head, etc.) closed the pipe; park stdout on
         # devnull so the interpreter's exit flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return code
     return code
 
 

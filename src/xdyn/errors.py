@@ -42,6 +42,10 @@ class StateFileError(XdynError):
     """A state description file failed schema validation (names the bad field)."""
 
 
+class OutputFileError(XdynError):
+    """The --out path cannot be opened for writing."""
+
+
 def first_bad(value, bad):
     """Where a stack first fails a check, for error messages.
 

@@ -1,0 +1,129 @@
+"""Regenerate tests/data/cli_corpus/ from the xdyn on the import path.
+
+Run from the root of the repository:
+
+    PYTHONPATH=src python3 tests/make_cli_corpus.py
+
+Each case runs once through ``xdyn.cli.main`` in this process, with
+COLUMNS pinned so that argparse wraps its help at a fixed width.  The
+corpus records the exit code and the exact stdout and stderr of every
+case (``<name>.out`` and ``<name>.err``, absent when empty) together with
+the Python version, since argparse's help and usage text can change
+between versions.  ``tests/test_cli_corpus.py`` replays the cases.
+"""
+import contextlib
+import io
+import json
+import os
+import sys
+import traceback
+from pathlib import Path
+
+CORPUS = Path(__file__).resolve().parent / "data" / "cli_corpus"
+COLUMNS = "80"
+
+ISO = ["--jx", "1", "--jy", "1", "--jz", "1", "--field", "0"]
+ANISO = ["--jx", "1", "--jy", "0.4", "--jz", "0.5", "--field", "0.8"]
+TWO_MODE = ["--jx", "1.3", "--jy", "0.4", "--jz", "0.5", "--field", "0.7",
+            "--state", "file:tests/data/two_mode_state.json"]
+COMMANDS = ("spectrum", "evolve", "scan", "classify", "period", "validate")
+
+CASES = {
+    # the main parser
+    "main_help": ["--help"],
+    "main_help_before_command": ["-h", "classify"],
+    "no_arguments": [],
+    "invalid_choice": ["bogus"],
+    "negative_number_as_command": ["-1", "spectrum"],
+    "double_dash_before_command": ["--", "spectrum", *ISO],
+    # every subcommand's help
+    **{f"{cmd}_help": [cmd, "--help"] for cmd in COMMANDS},
+    # usage errors after a valid command
+    "missing_state": ["classify", *ISO],
+    "missing_couplings": ["evolve", "--state", "werner:0.5", "--t", "1"],
+    "evolve_missing_t": ["evolve", *ISO, "--state", "werner:0.5"],
+    "unrecognized_flag": ["spectrum", *ISO, "--bogus", "1"],
+    "other_commands_flag": ["classify", *ISO, "--state", "werner:0.5", "--steps", "10"],
+    "extra_positional": ["spectrum", *ISO, "classify"],
+    "double_dash_after_command": ["spectrum", "--", *ISO],
+    "bad_float": ["spectrum", "--jx", "one", "--jy", "1", "--jz", "1", "--field", "0"],
+    "bad_int": ["validate", "--cases", "2.5"],
+    "format_xml": ["scan", *ISO, "--state", "werner:0.5", "--format", "xml"],
+    "non_numeric_dash_value": ["spectrum", "--jx", "1", "--jy", "0", "--jz", "0", "--field", "-e5"],
+    # values that look like options
+    "field_negative_exponent": ["spectrum", "--jx", "1", "--jy", "0", "--jz", "0", "--field", "-1e-10"],
+    "field_negative_joined": ["spectrum", "--jx", "1", "--jy", "0", "--jz", "0", "--field=-1e-10"],
+    "abbreviated_flags": ["classify", "--jx", "1", "--jy", "1", "--jz", "0.5", "--fi", "1.5", "--st", "werner:0.8"],
+    "repeated_flag_last_wins": ["classify", *ISO, "--field", "1.5", "--state", "werner:0.8"],
+    # one small success per command, and then some
+    "spectrum": ["spectrum", *ISO],
+    "spectrum_propagator_phase": ["spectrum", *ANISO, "--t", "1.3", "--phase"],
+    "evolve": ["evolve", *ANISO, "--state", "phi_plus_mix:0.7", "--t", "1.1"],
+    "scan_csv": ["scan", *ANISO, "--state", "bell_diag:0.3,-0.2,0.1", "--t-max", "2", "--steps", "5"],
+    "scan_json_generic": ["scan", *TWO_MODE, "--t-max", "2", "--steps", "4", "--format", "json"],
+    "classify": ["classify", "--jx", "1", "--jy", "1", "--jz", "0.5", "--field", "1.5", "--state", "werner:0.8"],
+    "classify_commuting": ["classify", "--jx", "1.3", "--jy", "0.4", "--jz", "0.5", "--field", "0.7",
+                           "--state", "file:tests/data/commuting_state.json"],
+    "classify_two_mode": ["classify", *TWO_MODE],
+    "period": ["period", "--jx", "1", "--jy", "1", "--jz", "0.5", "--field", "0.5", "--state", "phi_plus_mix:0.7"],
+    "period_abbreviated_t_max": ["period", "--jx", "1", "--jy", "1", "--jz", "0.5", "--field", "0.5",
+                                 "--state", "phi_plus_mix:0.7", "--t", "20", "--steps", "800"],
+    "period_two_mode": ["period", *TWO_MODE],
+    "validate": ["validate", "--seed", "5", "--cases", "10"],
+    # refusals
+    "evolve_outside_positivity": ["evolve", *ISO, "--state", "bell_diag:0.9,0.9,0.9", "--t", "1"],
+    "state_unknown_kind": ["evolve", *ISO, "--state", "nonsense:1", "--t", "1"],
+    "state_file_missing": ["classify", *ISO, "--state", "file:tests/data/missing.json"],
+    "scan_beyond_max_steps": ["scan", *ISO, "--state", "werner:0.5", "--steps", "1000001"],
+    "evolve_overflowing_phase": ["evolve", "--jx=1e10", "--jy=0", "--jz=0", "--field=0",
+                                 "--state", "werner:0.5", "--t", "1e300"],
+    "period_insufficient_span": ["period", *ANISO, "--state", "bell_diag:0.3,-0.2,0.1", "--t-max", "1"],
+    "validate_tiny_budget": ["validate", "--cases", "3"],
+    "validate_negative_seed": ["validate", "--seed", "-1"],
+    "out_missing_directory": ["classify", *ISO, "--state", "werner:0.5", "--out", "/nonexistent/x.json"],
+    "out_is_a_directory": ["scan", *ISO, "--state", "werner:0.5", "--steps", "3", "--out", "tests/data"],
+}
+
+
+def run_case(main, argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process call of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except Exception as exc:  # an uncaught error: record what the interpreter would print
+            err.write("Traceback (most recent call last):\n  ...\n")
+            err.write("".join(traceback.format_exception_only(exc)))
+            code = 1
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> int:
+    os.environ["COLUMNS"] = COLUMNS
+    os.chdir(CORPUS.parents[2])  # state files are named relative to the repository root
+    from xdyn.cli import main as xdyn_main
+
+    CORPUS.mkdir(parents=True, exist_ok=True)
+    for stale in [*CORPUS.glob("*.out"), *CORPUS.glob("*.err")]:
+        stale.unlink()
+    cases = []
+    for name, argv in CASES.items():
+        code, out, err = run_case(xdyn_main, argv)
+        for suffix, text in ((".out", out), (".err", err)):
+            if text:
+                (CORPUS / f"{name}{suffix}").write_text(text, encoding="utf-8", newline="")
+        cases.append({"name": name, "argv": argv, "exit": code})
+    # one case per line, so that a changed case reads as one changed line
+    manifest = (
+        f'{{\n  "python": "{sys.version_info[0]}.{sys.version_info[1]}",\n'
+        f'  "columns": {COLUMNS},\n  "cases": [\n    '
+        + ",\n    ".join(json.dumps(case) for case in cases)
+        + "\n  ]\n}\n"
+    )
+    (CORPUS / "cases.json").write_text(manifest, encoding="utf-8")
+    print(f"wrote {len(cases)} cases to {CORPUS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,15 +4,17 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xdyn import CouplingParams, TimeGrid, XState, evolve_closed, preset_p_mixture, scan
 from xdyn._text import BLOCK
-from xdyn.cli import _emit, _trace_csv, _trace_json, main
+from xdyn.cli import _emit, _trace_csv, _trace_json, build_parser, main
 
 ISO = ["--jx", "1", "--jy", "1", "--jz", "1", "--field", "0"]
+TWO_MODE_STATE = Path(__file__).resolve().parent / "data" / "two_mode_state.json"
 
 
 def run_cli(capsys, *argv):
@@ -331,6 +333,20 @@ def test_period_default_grid(capsys):
     assert abs(payload["detected_period"] - 2.0 * math.pi) / (2.0 * math.pi) < 1e-4
 
 
+def test_period_refuses_a_quasi_periodic_trace(capsys):
+    argv = [
+        "--jx", "1.3", "--jy", "0.4", "--jz", "0.5", "--field", "0.7",
+        "--state", f"file:{TWO_MODE_STATE}",
+    ]
+    code, out, _ = run_cli(capsys, "classify", *argv)
+    assert code == 0
+    mode_periods = json.loads(out)["mode_periods"]
+    code, out, err = run_cli(capsys, "period", *argv, "--t-max", "60")
+    assert code == 1 and out == ""
+    assert err.startswith("error: period: the trace is quasi-periodic")
+    assert all(repr(t) in err for t in mode_periods)
+
+
 def test_validate_subcommand(capsys):
     code, out, _ = run_cli(capsys, "validate", "--seed", "3", "--cases", "20")
     assert code == 0
@@ -393,6 +409,54 @@ def test_exit_code_state_file_errors(tmp_path, capsys):
     unnormalized.write_text(json.dumps({"abcdzw": [0.5, 0.5, 0.5, 0.5, 0.0, 0.0]}))
     code, _, _ = run_cli(capsys, "evolve", *ISO, "--state", f"file:{unnormalized}", "--t", "1")
     assert code == 1  # well-formed file, physically invalid state
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
+    path = tmp_path / "missing" / "x.json" if where == "missing_directory" else tmp_path
+    code, out, err = run_cli(capsys, "classify", *ISO, "--state", "werner:0.5", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --out: cannot write {str(path)!r}: [Errno ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_back_to_back_calls_share_no_state(tmp_path, capsys):
+    out = tmp_path / "period.json"
+    bell = ["--jx", "1", "--jy", "1", "--jz", "0.5", "--field", "0.5", "--state", "phi_plus_mix:0.5"]
+    assert main(["period", *bell, "--t-max", "20", "--steps", "800", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["steps"] == 800
+    # the defaults and stdout come back once the flags are gone
+    code, printed, _ = run_cli(capsys, "period", *bell)
+    assert code == 0 and json.loads(printed)["steps"] == 5000
+    assert json.loads(printed)["t_max"] == 6.0 * math.pi
+    # a different subcommand, then the first one again
+    code, printed, _ = run_cli(capsys, "spectrum", *ISO, "--t", "1", "--phase")
+    assert code == 0 and json.loads(printed)["propagator"]["global_phase_included"] is True
+    code, printed, _ = run_cli(capsys, "spectrum", *ISO)
+    assert code == 0 and "propagator" not in json.loads(printed)
+    code, printed, _ = run_cli(capsys, "period", *bell)
+    assert code == 0 and json.loads(printed)["steps"] == 5000
+    assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", *ISO, "--t", "-1e-3"],
+        ["evolve", *ISO, "--state", "werner:0.5", "--t", "2", "--phase"],
+        ["scan", *ISO, "--state", "werner:0.5", "--steps", "7", "--format", "json"],
+        ["classify", *ISO, "--state", "werner:0.5", "--out", "x.json"],
+        ["period", *ISO, "--state", "werner:0.5", "--t-max", "3"],
+        ["validate", "--seed", "-3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_parser_for_one_command_matches_the_full_parser(argv):
+    full, one = build_parser(), build_parser(argv[0])
+    assert one.format_help() == full.format_help()
+    assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
 
 
 def test_state_file_matches_inline(tmp_path, capsys):
