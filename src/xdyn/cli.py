@@ -13,18 +13,16 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable
 
 from . import model, states
-from .dynamics import TimeGrid, classify, detect_period, evolve_closed, nominal_period, scan
+from .dynamics import TimeGrid, _period, classify, detect_period, evolve_closed, nominal_period, scan
 from .errors import DomainError, OutputFileError, StateFileError, XdynError
 from .fidelity import purity
 from .validate import run_validation
 
 DEFAULT_STEPS = 5000
 DEFAULT_T_MAX = 10.0
-
-# Characters handed to the output file per write.
-EMIT_CHUNK = 64 * 1024
 
 # A token argparse should read as a negative number, not as an option.  Its
 # own pattern (Python 3.11) misses exponents, so "--field -1e-10" failed.
@@ -105,9 +103,9 @@ def _params_from(ns: argparse.Namespace) -> model.CouplingParams:
 
 def _grid_from(ns: argparse.Namespace, p: model.CouplingParams) -> TimeGrid:
     t_max = ns.t_max
-    if t_max is None:
-        period = nominal_period(p)
-        t_max = 3.0 * period if period is not None else DEFAULT_T_MAX
+    if t_max is None:  # three nominal periods
+        eta = model.frequencies(p).eta
+        t_max = _period(3, eta) if eta else DEFAULT_T_MAX
     return TimeGrid(t_max=t_max, steps=ns.steps)
 
 
@@ -136,7 +134,7 @@ def _params_block(p: model.CouplingParams) -> dict:
     }
 
 
-def _cmd_spectrum(ns: argparse.Namespace) -> tuple[str, int]:
+def _cmd_spectrum(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
     p = _params_from(ns)
     sp = model.spectrum(p)
     payload = {
@@ -147,10 +145,10 @@ def _cmd_spectrum(ns: argparse.Namespace) -> tuple[str, int]:
     }
     if ns.t is not None:
         payload["propagator"] = _propagator_block(p, ns.t, ns.phase)
-    return json.dumps(payload, indent=2) + "\n", 0
+    return [json.dumps(payload, indent=2) + "\n"], 0
 
 
-def _cmd_evolve(ns: argparse.Namespace) -> tuple[str, int]:
+def _cmd_evolve(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
     p = _params_from(ns)
     s = parse_state_arg(ns.state)
     rho = evolve_closed(s, p, ns.t)
@@ -163,7 +161,7 @@ def _cmd_evolve(ns: argparse.Namespace) -> tuple[str, int]:
         "bloch": {"s1": v.s1, "s2": v.s2, "c1": v.c1, "c2": v.c2, "c3": v.c3},
         "propagator": _propagator_block(p, ns.t, ns.phase),
     }
-    return json.dumps(payload, indent=2) + "\n", 0
+    return [json.dumps(payload, indent=2) + "\n"], 0
 
 
 def _trace_columns(trace) -> list:
@@ -171,57 +169,49 @@ def _trace_columns(trace) -> list:
     return [(f.name, getattr(trace, f.name)) for f in dataclasses.fields(trace)]
 
 
-def _trace_csv(trace) -> str:
-    # "%.17g" % x for every cell; an absent column is an empty cell.  Both
-    # renderers grow the text with += on one local name, which CPython
-    # resizes in place, so the text is never held twice.  _text is imported
-    # on first use: commands that render no trace skip its digit tables.
+def _trace_csv(trace) -> Iterable[str]:
+    # "%.17g" % x for every cell; an absent column is an empty cell.  _text is
+    # imported on first use: commands that render no trace skip its digit tables.
     from . import _text
 
-    text = "t,f_numeric,f_closed,purity,c1_minus_c2\n"
-    for part in _text.lines([col for _, col in _trace_columns(trace)], False, ",", "\n"):
-        text += part
-    text += "\n"
-    return text
+    yield "t,f_numeric,f_closed,purity,c1_minus_c2\n"
+    yield from _text.lines([col for _, col in _trace_columns(trace)], False, ",", "\n")
+    yield "\n"
 
 
-def _trace_json(trace) -> str:
+def _trace_json(trace) -> Iterable[str]:
     # json.dumps(payload, indent=2), which writes a float (scan's are finite) as float.__repr__
     from . import _text
 
-    text = "{"
     for i, (name, col) in enumerate(_trace_columns(trace)):
-        text += f'{"," if i else ""}\n  "{name}": '
+        yield f'{"," if i else "{"}\n  "{name}": '
         if col is None:
-            text += "null"
+            yield "null"
             continue
-        text += "[\n    "
-        for part in _text.lines([col], True, "", ",\n    "):
-            text += part
-        text += "\n  ]"
-    text += "\n}\n"
-    return text
+        yield "[\n    "
+        yield from _text.lines([col], True, "", ",\n    ")
+        yield "\n  ]"
+    yield "\n}\n"
 
 
-def _cmd_scan(ns: argparse.Namespace) -> tuple[str, int]:
+def _cmd_scan(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
     p = _params_from(ns)
     s = parse_state_arg(ns.state)
     trace = scan(s, p, _grid_from(ns, p))
-    text = _trace_csv(trace) if ns.format == "csv" else _trace_json(trace)
-    return text, 0
+    return (_trace_csv if ns.format == "csv" else _trace_json)(trace), 0
 
 
-def _cmd_classify(ns: argparse.Namespace) -> tuple[str, int]:
+def _cmd_classify(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
     p = _params_from(ns)
     s = parse_state_arg(ns.state)
     verdict = classify(s, p)
     payload = {"kind": verdict.kind, "reason": verdict.reason, "period": verdict.period}
     if verdict.mode_periods is not None:
         payload["mode_periods"] = verdict.mode_periods
-    return json.dumps(payload, indent=2) + "\n", 0
+    return [json.dumps(payload, indent=2) + "\n"], 0
 
 
-def _cmd_period(ns: argparse.Namespace) -> tuple[str, int]:
+def _cmd_period(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
     p = _params_from(ns)
     s = parse_state_arg(ns.state)
     grid = _grid_from(ns, p)
@@ -240,12 +230,12 @@ def _cmd_period(ns: argparse.Namespace) -> tuple[str, int]:
         "detected_period": detect_period(trace),
         "nominal_period": nominal_period(p),
     }
-    return json.dumps(payload, indent=2) + "\n", 0
+    return [json.dumps(payload, indent=2) + "\n"], 0
 
 
-def _cmd_validate(ns: argparse.Namespace) -> tuple[str, int]:
+def _cmd_validate(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
     report = run_validation(seed=ns.seed, cases=ns.cases)
-    return report.render(), 0 if report.passed else 1
+    return [report.render()], 0 if report.passed else 1
 
 
 def _arg(flag: str, **kwargs) -> tuple[str, dict]:
@@ -347,23 +337,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _write(fh, text: str) -> None:
-    # In slices, so the encoder holds EMIT_CHUNK characters at a time and
-    # never a bytes copy of the whole text.
-    for start in range(0, len(text), EMIT_CHUNK):
-        fh.write(text[start : start + EMIT_CHUNK])
-
-
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(parts: Iterable[str], out_path: str | None) -> None:
+    """Write each part as it comes to --out, or to stdout when there is none."""
     if out_path is None:
-        _write(sys.stdout, text)
+        sys.stdout.writelines(parts)
         return
     try:
         fh = open(out_path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise OutputFileError(f"--out: cannot write {out_path!r}: {exc}") from None
     with fh:
-        _write(fh, text)
+        fh.writelines(parts)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -377,8 +361,8 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        text, code = _COMMANDS[ns.command][0](ns)
-        _emit(text, ns.out)
+        parts, code = _COMMANDS[ns.command][0](ns)
+        _emit(parts, ns.out)
     except (StateFileError, OutputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

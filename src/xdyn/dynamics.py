@@ -257,12 +257,18 @@ def c_difference_cos2(v: states.BlochVector, p: model.CouplingParams, t: float) 
     return (v.c1 - v.c2) * model._pow2(np.cos(f.eta * t))
 
 
+def _period(multiple: int, rate: float) -> float:
+    """multiple pi / rate for rate > 0; RangeError when that overflows a float."""
+    period = multiple * (math.pi / rate)
+    if math.isinf(period):
+        raise RangeError(f"the period {multiple} * pi / {rate!r} overflows a float")
+    return period
+
+
 def nominal_period(p: model.CouplingParams) -> float | None:
-    """2 pi / sqrt(4 B^2 + (jx - jy)^2), or None when that diverges."""
-    root = math.hypot(2.0 * p.field, p.jx - p.jy)
-    if root == 0.0:
-        return None
-    return 2.0 * math.pi / root
+    """pi / eta, or None when eta = 0."""
+    eta = model.frequencies(p).eta
+    return _period(1, eta) if eta else None
 
 
 def _mode_amplitudes(s: states.XState, p: model.CouplingParams, f: model.DerivedFrequencies) -> tuple:
@@ -291,6 +297,7 @@ def classify(s: states.XState, p: model.CouplingParams) -> StationarityVerdict:
     |Omega|/eta = n/q in lowest terms with q <= MAX_DENOMINATOR (to
     COMMENSURATE_TOL), and quasi_periodic otherwise.
     """
+    f = model.frequencies(p)  # refuses couplings whose frequencies overflow, on every route
     v = states.to_bloch(s)
     if is_bell_diagonal(v):
         coeffs = (v.s1, v.s2, v.c1, v.c2, v.c3)
@@ -300,11 +307,8 @@ def classify(s: states.XState, p: model.CouplingParams) -> StationarityVerdict:
             return StationarityVerdict(kind="stationary", reason="zero_field")
         if abs(v.c1 - v.c2) <= BELL_DIAGONAL_TOL:
             return StationarityVerdict(kind="stationary", reason="c1_equals_c2")
-        return StationarityVerdict(kind="periodic", reason="generic", period=nominal_period(p))
+        return StationarityVerdict(kind="periodic", reason="generic", period=_period(1, f.eta))
 
-    f = model.frequencies(p)
-    if not (math.isfinite(f.eta) and math.isfinite(f.omega)):
-        raise RangeError(f"classify: frequencies overflow a float (eta {f.eta}, omega {f.omega})")
     b_eta, c = _mode_amplitudes(s, p, f)
     if f.omega == 0.0:
         c = 0.0
@@ -313,16 +317,16 @@ def classify(s: states.XState, p: model.CouplingParams) -> StationarityVerdict:
         return StationarityVerdict(kind="stationary", reason="commutes")
     live_eta, live_omega = 4.0 * b_eta >= budget, 4.0 * c >= budget
     if not live_omega:
-        return StationarityVerdict(kind="periodic", reason="generic", period=nominal_period(p))
+        return StationarityVerdict(kind="periodic", reason="generic", period=_period(1, f.eta))
     if not live_eta:
-        return StationarityVerdict(kind="periodic", reason="generic", period=math.pi / abs(f.omega))
+        return StationarityVerdict(kind="periodic", reason="generic", period=_period(1, abs(f.omega)))
     ratio = abs(f.omega) / f.eta
     for q in range(1, MAX_DENOMINATOR + 1):
         x = ratio * q
         if math.isfinite(x) and abs(x - round(x)) <= COMMENSURATE_TOL * x:
-            return StationarityVerdict(kind="periodic", reason="generic", period=q * nominal_period(p))
+            return StationarityVerdict(kind="periodic", reason="generic", period=_period(q, f.eta))
     return StationarityVerdict(
-        kind="quasi_periodic", reason="generic", mode_periods=(nominal_period(p), math.pi / abs(f.omega))
+        kind="quasi_periodic", reason="generic", mode_periods=(_period(1, f.eta), _period(1, abs(f.omega)))
     )
 
 

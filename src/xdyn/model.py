@@ -95,9 +95,15 @@ def _hypot(x, y):
 
 
 def frequencies(p: CouplingParams) -> DerivedFrequencies:
-    delta = (p.jx - p.jy) / 2.0
-    omega = (p.jx + p.jy) / 2.0
+    """eta, omega and delta of p; RangeError, naming a stack's first bad element, when eta or omega overflows."""
+    with np.errstate(over="ignore"):  # the refusal below, not a numpy warning, reports an overflow
+        delta = (p.jx - p.jy) / 2.0
+        omega = (p.jx + p.jy) / 2.0
     eta = _hypot(p.field, delta)
+    bad = ~(np.isfinite(eta) & np.isfinite(omega))  # delta is finite where eta is
+    at, eta_bad = first_bad(eta, bad)
+    if at is not None:
+        raise RangeError(f"frequencies overflow a float{at}: eta = {eta_bad}, omega = {first_bad(omega, bad)[1]}")
     return DerivedFrequencies(eta=eta, omega=omega, delta=delta)
 
 
@@ -154,15 +160,21 @@ def spectrum(p: CouplingParams) -> Spectrum:
             -p.jz / 2.0 - f.omega,
         ]
     )
+    if not np.isfinite(energies).all():
+        raise RangeError(f"spectrum: an energy overflows a float (jz = {p.jz}, eta = {f.eta}, omega = {f.omega})")
+    # The outer eigenvectors and norms are ratios of field, eta and delta, whose squares leave the float
+    # range for eta outside [2^-500, 2^500]; there all three are scaled by a power of two to eta in [0.5, 1).
+    e = 0 if 2.0**-500 <= f.eta <= 2.0**500 else -math.frexp(f.eta)[1]
+    field, eta, delta = (math.ldexp(x, e) for x in (p.field, f.eta, f.delta))
     vecs = np.zeros((4, 4), dtype=complex)
-    outer_plus, outer_minus = _outer_eigenvectors(p.field, f.eta, f.delta)
+    outer_plus, outer_minus = _outer_eigenvectors(field, eta, delta)
     vecs[0, 0], vecs[3, 0] = outer_plus
     vecs[0, 1], vecs[3, 1] = outer_minus
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     vecs[1, 2], vecs[2, 2] = inv_sqrt2, inv_sqrt2
     vecs[1, 3], vecs[2, 3] = inv_sqrt2, -inv_sqrt2
 
-    norms = _outer_norms(p.field, f.eta, f.delta) if f.delta != 0.0 else (0.0, 0.0)
+    norms = _outer_norms(field, eta, delta) if delta != 0.0 else (0.0, 0.0)
     return Spectrum(energies=energies, eigenvectors=vecs, norms=norms)
 
 

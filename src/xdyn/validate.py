@@ -39,7 +39,11 @@ from .dynamics import (
 )
 from .errors import RangeError
 from .fidelity import (
+    EIG_FLOOR,
+    HERMITICITY_TOL,
+    TRACE_TOL,
     DensityMatrix,
+    _modulus,
     fidelity,
     fidelity_bell_diagonal,
     overlap_bloch_form,
@@ -215,11 +219,6 @@ class _Fit:
         return math.nan if self.den == 0.0 else self.num / self.den
 
 
-def _abs(z):
-    # |z| as a complex scalar takes it (libm hypot); np.abs on an array rounds differently.
-    return np.hypot(z.real, z.imag)
-
-
 def _check_propagator(rng, cases: int) -> CheckResult:
     worst = _Extreme()
     for k, u in _blocks(rng, cases, 5):
@@ -268,9 +267,9 @@ def _check_conservation(rng, cases: int) -> list[CheckResult]:
         floor.add(k, np.linalg.eigvalsh(rho)[..., 0].min(axis=1))
         purity.add(k, np.max(abs(linalg._trace_of_product(rho, rho).real - s.purity), axis=1))
     return [
-        trace.result("scan conservation: trace", 1e-12),
-        herm.result("scan conservation: hermiticity", 1e-12),
-        floor.result("scan conservation: eigenvalue floor", -1e-10),
+        trace.result("scan conservation: trace", TRACE_TOL),
+        herm.result("scan conservation: hermiticity", HERMITICITY_TOL),
+        floor.result("scan conservation: eigenvalue floor", EIG_FLOOR),
         purity.result("scan conservation: purity drift", 1e-12),
     ]
 
@@ -352,8 +351,8 @@ def _errata_inner_sign(rng, cases: int) -> ErrataFinding:
         oracle = evolve_oracle(s, p, t).matrix[:, 1, 2]
         printed = s.z - 1j * (s.b - s.c) * np.sin(2.0 * f.omega * t) / 2.0
         closed = evolve_closed(s, p, t).matrix[:, 1, 2]
-        printed_miss.add(k, _abs(printed - oracle))
-        closed_miss.add(k, _abs(closed - oracle))
+        printed_miss.add(k, _modulus(printed - oracle))
+        closed_miss.add(k, _modulus(closed - oracle))
     return ErrataFinding(
         name="inner coherence evolution (sign of the imaginary part)",
         consistent=printed_miss.value <= 1e-10,

@@ -77,6 +77,21 @@ CASES = {
     "scan_beyond_max_steps": ["scan", *ISO, "--state", "werner:0.5", "--steps", "1000001"],
     "evolve_overflowing_phase": ["evolve", "--jx=1e10", "--jy=0", "--jz=0", "--field=0",
                                  "--state", "werner:0.5", "--t", "1e300"],
+    "spectrum_overflowing_eta": ["spectrum", "--jx", "1e308", "--jy", "-1e308", "--jz", "0", "--field", "0"],
+    "spectrum_overflowing_energy": ["spectrum", "--jx", "8.98e307", "--jy", "-8.98e307", "--jz", "1.7e308",
+                                    "--field", "5e307"],
+    "classify_overflowing_eta": ["classify", "--jx", "1e308", "--jy", "-1e308", "--jz", "0", "--field", "1",
+                                 "--state", "bell_diag:0.3,0.2,0.1"],
+    "classify_maximally_mixed_overflowing_eta": ["classify", "--jx", "1e308", "--jy", "-1e308", "--jz", "0",
+                                                 "--field", "1", "--state", "bell_diag:0,0,0"],
+    "scan_overflowing_omega": ["scan", "--jx", "1e308", "--jy", "1e308", "--jz", "0", "--field", "1",
+                               "--state", "werner:0.5", "--steps", "3"],
+    "period_overflowing_nominal_period": ["period", "--jx", "1e-323", "--jy", "0", "--jz", "0", "--field", "0",
+                                          "--state", "bell_diag:0.3,0.2,0.1", "--t-max", "10"],
+    "classify_overflowing_mode_period": ["classify", "--jx", "1e-323", "--jy", "1e-323", "--jz", "0", "--field",
+                                         "0.3", "--state", "file:tests/data/two_mode_state.json"],
+    "scan_overflowing_default_t_max": ["scan", "--jx", "6e-308", "--jy", "0", "--jz", "0", "--field", "0",
+                                       "--state", "bell_diag:0.3,0.2,0.1", "--steps", "3"],
     "period_insufficient_span": ["period", *ANISO, "--state", "bell_diag:0.3,-0.2,0.1", "--t-max", "1"],
     "validate_tiny_budget": ["validate", "--cases", "3"],
     "validate_negative_seed": ["validate", "--seed", "-1"],

@@ -123,6 +123,18 @@ def test_scan_refuses_grid_beyond_max_steps(capsys):
     assert err.startswith("error:") and "at most 1000000," in err
 
 
+def test_period_at_the_largest_field_scans_three_periods(capsys):
+    # eta = 1e308 is finite although 2 B is not, so the default horizon is 3 pi / eta
+    code, out, err = run_cli(
+        capsys, "period", "--jx", "1", "--jy", "1", "--jz", "0", "--field", "1e308",
+        "--state", "bell_diag:0.3,0.2,0.1",
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["nominal_period"] == math.pi / 1e308
+    assert payload["t_max"] == 3.0 * (math.pi / 1e308)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -204,43 +216,40 @@ def test_trace_rendering_matches_per_value_formatting(case):
     if case == "minus-zero":
         assert np.any(np.signbit(trace.c1_minus_c2) & (trace.c1_minus_c2 == 0.0))
     assert (trace.f_closed is None) == case.startswith("generic")
-    assert _trace_csv(trace) == _per_value_csv(trace)
-    assert _trace_json(trace) == _per_value_json(trace)
+    assert "".join(_trace_csv(trace)) == _per_value_csv(trace)
+    assert "".join(_trace_json(trace)) == _per_value_json(trace)
+
+
+def _emit_peak(render, steps: int, out: Path) -> tuple[int, int]:
+    """Peak traced memory while _emit renders and writes a scan held in hand, and the text's length."""
+    trace = scan(BELL, CouplingParams(*COUPLING), TimeGrid(t_max=7.0, steps=steps))
+    _emit(render(trace), str(out))  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        _emit(render(trace), str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = out.read_text(encoding="utf-8")
+    assert text == "".join(render(trace))
+    return peak, len(text)
 
 
 @pytest.mark.parametrize("render", [_trace_csv, _trace_json], ids=["csv", "json"])
-def test_rendering_memory_stays_flat_beyond_one_block(render):
-    # working memory beyond the output text does not grow with the grid
-    def extra(steps: int) -> int:
-        trace = scan(BELL, CouplingParams(*COUPLING), TimeGrid(t_max=7.0, steps=steps))
-        render(trace)  # first-call allocations out of the way
-        tracemalloc.start()
-        try:
-            text = render(trace)
-            return tracemalloc.get_traced_memory()[1] - len(text)
-        finally:
-            tracemalloc.stop()
-
-    assert extra(8 * BLOCK) <= 1.5 * extra(2 * BLOCK)
+def test_rendering_memory_stays_flat_beyond_one_block(render, tmp_path):
+    # rendering and writing hold one block at a time, however long the grid
+    peak_2, _ = _emit_peak(render, 2 * BLOCK, tmp_path / "trace.out")
+    peak_8, _ = _emit_peak(render, 8 * BLOCK, tmp_path / "trace.out")
+    assert peak_8 <= 1.5 * peak_2
 
 
 @pytest.mark.parametrize("render", [_trace_csv, _trace_json], ids=["csv", "json"])
 def test_written_output_is_never_copied_whole(render, tmp_path):
-    # --out gets the text in slices: while it is written, memory holds the
-    # text and well under half its size beyond it, not an encoded copy
-    trace = scan(BELL, CouplingParams(*COUPLING), TimeGrid(t_max=7.0, steps=8 * BLOCK))
-    out = tmp_path / "trace.out"
-    _emit(render(trace), str(out))  # first-call allocations out of the way
-    tracemalloc.start()
-    try:
-        text = render(trace)
-        tracemalloc.reset_peak()
-        _emit(text, str(out))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.read_text(encoding="utf-8") == text
-    assert peak - len(text) < 0.5 * len(text)
+    # --out gets the text part by part and the whole text never exists: the
+    # peak stays well under half its length.  32 blocks, since a CSV block's
+    # working arrays alone take about as much as 8 blocks of text.
+    peak, length = _emit_peak(render, 32 * BLOCK, tmp_path / "trace.out")
+    assert peak < 0.5 * length
 
 
 def test_non_numeric_dash_token_is_still_a_usage_error(capsys):
@@ -484,13 +493,15 @@ def test_console_script_entry_point():
 
 
 def test_scan_survives_early_pipe_close():
-    # a consumer like `head` closing stdout must not produce a traceback;
-    # 3000 rows comfortably exceed the 64K pipe buffer
-    cmd = (
-        f"{sys.executable} -m xdyn.cli scan --jx 1 --jy 0.3 --jz 0.5 --field 0.8 "
-        f"--state phi_plus_mix:0.6 --t-max 5 --steps 3000 | head -n 2"
-    )
-    proc = subprocess.run(cmd, shell=True, capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout.splitlines()[0] == "t,f_numeric,f_closed,purity,c1_minus_c2"
+    # a consumer like `head` closing stdout must not produce a traceback or a
+    # failing exit code; 3000 rows comfortably exceed the 64K pipe buffer in either format
+    for fmt, first_line in (("csv", "t,f_numeric,f_closed,purity,c1_minus_c2"), ("json", "{")):
+        cmd = (
+            f"{sys.executable} -m xdyn.cli scan --jx 1 --jy 0.3 --jz 0.5 --field 0.8 "
+            f"--state phi_plus_mix:0.6 --t-max 5 --steps 3000 --format {fmt} | head -n 2; "
+            "exit ${PIPESTATUS[0]}"
+        )
+        proc = subprocess.run(cmd, shell=True, executable="/bin/bash", capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines()[0] == first_line

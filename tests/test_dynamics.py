@@ -36,6 +36,7 @@ from xdyn import (
     overlap_bloch_form,
     overlap_evolved,
     overlap_population_form,
+    preset_bell_diagonal,
     preset_p_mixture,
     preset_werner,
     propagator,
@@ -542,9 +543,26 @@ def test_classify_corners(p, kind, period):
 
 
 def test_classify_refuses_overflowing_frequencies():
-    # Delta = (1e308 + 1e308) / 2 overflows to inf, and eta with it
-    with pytest.raises(RangeError, match="overflow"):
-        classify(ROADMAP_STATE, CouplingParams(1e308, -1e308, 0.5, 0.7))
+    # Delta = (1e308 + 1e308) / 2 overflows to inf, and eta with it, on every route:
+    # generic, Bell-diagonal and maximally mixed
+    for state in (ROADMAP_STATE, preset_bell_diagonal(0.3, 0.2, 0.1), preset_bell_diagonal(0.0, 0.0, 0.0)):
+        with pytest.raises(RangeError, match="frequencies overflow a float: eta = inf"):
+            classify(state, CouplingParams(1e308, -1e308, 0.5, 0.7))
+
+
+def test_periods_that_overflow_are_refused():
+    # pi / eta and pi / |Omega| overflow a float for subnormal frequencies
+    with pytest.raises(RangeError, match=r"the period 1 \* pi / 5e-324 overflows a float"):
+        nominal_period(CouplingParams(1e-323, 0.0, 0.0, 0.0))
+    with pytest.raises(RangeError, match=r"the period 1 \* pi / 1e-323 overflows a float"):
+        classify(ROADMAP_STATE, CouplingParams(1e-323, 1e-323, 0.5, 0.7))
+
+
+def test_nominal_period_is_pi_over_eta_up_to_the_largest_field():
+    # 2 B overflows while eta = B is still finite
+    p = CouplingParams(1.0, 1.0, 0.0, 1e308)
+    assert nominal_period(p) == math.pi / 1e308 > 0.0
+    assert classify(preset_bell_diagonal(0.3, 0.2, 0.1), p).period == math.pi / 1e308
 
 
 def test_detect_period_flat_trace_is_none():

@@ -7,6 +7,7 @@ routes share no code).
 """
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from xdyn import (
     CouplingParams,
     InvalidInputError,
+    RangeError,
     expm,
     frequencies,
     hamiltonian,
@@ -35,6 +37,53 @@ def test_frequencies_frozen():
     assert f.delta == 0.5
     assert f.omega == 0.5
     assert abs(f.eta - SQRT_17_OVER_2) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "coupling, names",
+    [
+        ((1e308, -1e308, 0.0, 0.0), "eta = inf, omega = 0.0"),  # Delta overflows, and eta with it
+        ((1e308, 1e308, 0.0, 1.0), "eta = 1.0, omega = inf"),
+        ((1.5e308, 0.0, 0.0, 1.7e308), "eta = inf, omega = 7.5e+307"),  # hypot overflows
+    ],
+    ids=["eta", "omega", "hypot"],
+)
+def test_frequencies_refuse_overflow(coupling, names):
+    # a RangeError naming both frequencies, before numpy warns (warnings are errors here)
+    with pytest.raises(RangeError, match=f"overflow a float: {re.escape(names)}$"):
+        frequencies(CouplingParams(*coupling))
+
+
+def test_stacked_frequencies_name_the_first_overflowing_element():
+    jx = np.array([[1.0, 1.0], [1.0, 1e308]])
+    p = CouplingParams(jx, -jx, np.zeros((2, 2)), np.ones((2, 2)))
+    with pytest.raises(RangeError, match=r"overflow a float\[1, 1\]: eta = inf, omega = 0.0$"):
+        frequencies(p)
+
+
+def test_spectrum_refuses_an_overflowing_energy():
+    # finite frequencies, but jz/2 + eta is not a float
+    with pytest.raises(RangeError, match="^spectrum: an energy overflows a float"):
+        spectrum(CouplingParams(8.98e307, -8.98e307, 1.7e308, 5e307))
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+@pytest.mark.parametrize("field", [0.8, -0.8])
+def test_spectrum_scales_with_the_couplings(k, field):
+    # couplings scaled by 2^k scale the energies and leave the eigenvectors and
+    # norms as they were, also where the squares of the couplings overflow or underflow
+    base = spectrum(CouplingParams(1.0, 0.4, 0.5, field))
+    sp = spectrum(CouplingParams(*(math.ldexp(x, k) for x in (1.0, 0.4, 0.5, field))))
+    assert np.array_equal(sp.energies, np.ldexp(base.energies, k))
+    assert max_abs(sp.eigenvectors - base.eigenvectors) < 1e-15
+    assert np.allclose(sp.norms, base.norms, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("field, outer", [(1e308, [[1, 0], [0, 1]]), (-1e308, [[0, 1], [1, 0]])])
+def test_spectrum_at_the_largest_field(field, outer):
+    # |field| + eta overflows a float, but the outer eigenvectors are still |00> and |11>
+    sp = spectrum(CouplingParams(1.0, 1.0, 0.0, field))
+    assert np.array_equal(abs(sp.eigenvectors[[0, 3]][:, :2]), outer)
 
 
 def test_hamiltonian_frozen_entries():
