@@ -18,7 +18,6 @@ from .dynamics import (
     evolve_closed,
     evolve_oracle,
     nominal_period,
-    overlap_evolved,
     scan,
 )
 from .errors import (
@@ -55,12 +54,9 @@ from .model import (
 )
 from .states import (
     BlochVector,
-    GaugeFix,
     XState,
     bloch_from_density,
     from_bloch,
-    gauge_fix,
-    local_rotation,
     preset_bell_diagonal,
     preset_p_mixture,
     preset_werner,
@@ -83,7 +79,6 @@ __all__ = [
     "DomainError",
     "ErrataFinding",
     "FidelityTrace",
-    "GaugeFix",
     "InsufficientSpanError",
     "InvalidInputError",
     "NormalizationError",
@@ -111,12 +106,9 @@ __all__ = [
     "fidelity_bell_diagonal",
     "frequencies",
     "from_bloch",
-    "gauge_fix",
     "hamiltonian",
-    "local_rotation",
     "nominal_period",
     "overlap_bloch_form",
-    "overlap_evolved",
     "overlap_population_form",
     "preset_bell_diagonal",
     "preset_p_mixture",

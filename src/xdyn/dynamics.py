@@ -185,12 +185,6 @@ def evolve_oracle(s: states.XState, p: model.CouplingParams, t: float) -> Densit
     return DensityMatrix(u @ rho0 @ linalg.dagger(u))
 
 
-def overlap_evolved(s: states.XState, p: model.CouplingParams, t: float) -> float:
-    """Tr(rho(0) rho(t)) straight from the six evolved numbers."""
-    t = model._finite_time(t, "overlap_evolved")
-    return _x_overlap((s.a, s.b, s.c, s.d, s.z, s.w), _evolve_x(s, p, t))
-
-
 def scan(s: states.XState, p: model.CouplingParams, grid: TimeGrid) -> FidelityTrace:
     """Fidelity, purity and c1 - c2 = 4 Re w(t) sampled along a time grid.
 

@@ -3,6 +3,8 @@
 Everything derives from XdynError so callers (and the CLI) can catch one
 base class; the subclasses keep failure modes distinguishable in tests.
 """
+import math
+
 import numpy as np
 
 
@@ -11,7 +13,7 @@ class XdynError(ValueError):
 
 
 class InvalidInputError(XdynError):
-    """Malformed numeric input: wrong shape, non-finite entries, bad tolerance."""
+    """Malformed numeric input: wrong shape, a non-real value, non-finite entries."""
 
 
 class NormalizationError(XdynError):
@@ -60,3 +62,23 @@ def first_bad(value, bad):
         return None, None
     k = np.unravel_index(np.argmax(bad), np.shape(bad))
     return str(list(map(int, k))), np.broadcast_to(value, np.shape(bad))[k].item()
+
+
+def require_finite_real(value, name: str):
+    """value as a float, or a float array (one field of a stack) as is.
+
+    Raises InvalidInputError for anything that is not a real number (a bool
+    or a str included) and for a non-finite value, naming a stack's first
+    bad element.
+    """
+    if isinstance(value, np.ndarray) and value.dtype == float:
+        at, bad = first_bad(value, ~np.isfinite(value))
+        if at is not None:
+            raise InvalidInputError(f"{name}{at} must be finite, got {bad!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    v = float(value)
+    if not math.isfinite(v):
+        raise InvalidInputError(f"{name} must be finite, got {v!r}")
+    return v

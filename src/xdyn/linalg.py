@@ -33,7 +33,7 @@ PAULI_ZZ = np.kron(PAULI_Z, PAULI_Z)
 PAULI_ZI = np.kron(PAULI_Z, ID2)
 PAULI_IZ = np.kron(ID2, PAULI_Z)
 
-# Default truncation target of expm.
+# Truncation target of expm.
 DEFAULT_TOL = 1e-12
 
 
@@ -61,11 +61,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def max_abs(m: np.ndarray) -> float:
-    """Max-norm: largest entrywise modulus."""
-    return float(np.max(np.abs(m)))
-
-
 def max_abs_each(m: np.ndarray) -> np.ndarray:
     """Max-norm of each matrix in a (..., 4, 4) stack."""
     return np.abs(m).max(axis=(-2, -1))
@@ -77,29 +72,26 @@ def frobenius(m: np.ndarray):
     return float(norm) if np.ndim(norm) == 0 else norm
 
 
-def expm(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+def expm(m) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a Taylor core.
 
     Each matrix is scaled by its own 2**s until its Frobenius norm is at
     most 1/2, its series is summed to enough terms that the truncation
-    remainder is below tol / 2**s (so the squaring stage cannot amplify it
-    past tol for the norm-preserving inputs this package cares about), and
-    the result is squared back up.  A stack of matrices is evaluated
-    together: each Horner step and each squaring multiplies only the
-    matrices whose own term count or scaling power still asks for it, so
-    every matrix of a stack gets the bits it would get on its own and no
-    product is computed to be thrown away.
+    remainder is below DEFAULT_TOL / 2**s (so the squaring stage cannot
+    amplify it past DEFAULT_TOL for the norm-preserving inputs this
+    package cares about), and the result is squared back up.  A stack of
+    matrices is evaluated together: each Horner step and each squaring
+    multiplies only the matrices whose own term count or scaling power
+    still asks for it, so every matrix of a stack gets the bits it would
+    get on its own and no product is computed to be thrown away.
 
     Args:
         m: 4x4 complex matrix, or a (..., 4, 4) stack of them.
-        tol: truncation target, must be positive.
 
     Returns:
         exp(m), of the shape of m.
     """
     a = as_matrix4(m, "expm")
-    if not (tol > 0):
-        raise InvalidInputError(f"expm: tol must be positive, got {tol}")
 
     norm = np.asarray(frobenius(a))
     s = np.where(norm > 0.5, np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5)), 0.0)
@@ -108,7 +100,7 @@ def expm(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     theta = norm / scale
 
     # Remainder of the truncated series: theta^(n+1) / ((n+1)! (1 - theta)).
-    target = tol / scale
+    target = DEFAULT_TOL / scale
     n_terms = np.ones(np.shape(norm), dtype=int)
     remainder = np.float_power(theta, 2) / (2.0 * (1.0 - theta))  # libm pow, as ** is on a float
     while True:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInputError, RangeError, first_bad
+from .errors import InvalidInputError, RangeError, first_bad, require_finite_real
 
 # Below this, sin(x)/x switches to its series 1 - x^2/6, which rounds to
 # exactly 1.0 there: x^2/6 < 1.7e-17 is under half an ulp of 1.
@@ -53,13 +53,7 @@ class CouplingParams:
 
     def __post_init__(self):
         for name in ("jx", "jy", "jz", "field"):
-            v = getattr(self, name)
-            if isinstance(v, np.ndarray) and v.dtype == float:
-                at, bad = first_bad(v, ~np.isfinite(v))
-                if at is not None:
-                    raise InvalidInputError(f"CouplingParams.{name}{at} must be finite, got {bad!r}")
-            elif not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise InvalidInputError(f"CouplingParams.{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, require_finite_real(getattr(self, name), f"CouplingParams.{name}"))
 
 
 @dataclass(frozen=True)

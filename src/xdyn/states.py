@@ -1,15 +1,13 @@
-"""X-shaped two-qubit states: construction, gauge fixing, Bloch language.
+"""X-shaped two-qubit states: construction, presets, Bloch language.
 
 An X state is stored by its four populations (a, b, c, d down the diagonal)
 and the magnitudes of its two coherences: z on the inner antidiagonal
-(|01><10|), w on the outer one (|00><11|).  Complex coherence phases are
-removed up front by ``gauge_fix`` with a pair of local z rotations; the
-signs that survive in the Bloch picture are carried by BlochVector, not by
-the stored state.
+(|01><10|), w on the outer one (|00><11|).  Signed or complex coherences
+are not stored; the signs of the Bloch picture are carried by BlochVector,
+not by the stored state.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -17,12 +15,12 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    InvalidInputError,
     NormalizationError,
     PositivityError,
     RangeError,
     StateFileError,
     first_bad,
+    require_finite_real,
 )
 from .fidelity import EIG_FLOOR, TRACE_TOL, DensityMatrix, _block_min_eigenvalue
 from .model import _pow2
@@ -35,28 +33,14 @@ OBS_C2 = linalg.PAULI_YY
 OBS_C3 = linalg.PAULI_ZZ
 
 
-def _require_finite_real(value, name: str) -> float:
-    if isinstance(value, np.ndarray) and value.dtype == float:  # one field of a stack
-        at, bad = first_bad(value, ~np.isfinite(value))
-        if at is not None:
-            raise InvalidInputError(f"{name}{at} must be finite, got {bad!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise InvalidInputError(f"{name} must be finite, got {v!r}")
-    return v
-
-
 @dataclass(frozen=True)
 class XState:
     """Populations and coherence magnitudes of an X-shaped density matrix.
 
-    Raises NormalizationError off the unit trace, PositivityError when the
-    induced matrix would dip below the eigenvalue floor or when a negative
-    coherence is passed directly (route complex/signed coherences through
-    gauge_fix first).  Six float arrays of one shape make a stack of
+    Raises InvalidInputError for a field that is not a finite real number,
+    NormalizationError off the unit trace, and PositivityError for a
+    negative coherence or when the induced matrix would dip below the
+    eigenvalue floor.  Six float arrays of one shape make a stack of
     states, each checked as a single one is; an error names the first
     state that fails.
     """
@@ -70,12 +54,10 @@ class XState:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d", "z", "w"):
-            object.__setattr__(self, name, _require_finite_real(getattr(self, name), f"XState.{name}"))
+            object.__setattr__(self, name, require_finite_real(getattr(self, name), f"XState.{name}"))
         at, _ = first_bad(0.0, (self.z < 0) | (self.w < 0))
         if at is not None:
-            raise PositivityError(
-                f"XState{at} stores coherence magnitudes; gauge_fix signed or complex coherences first"
-            )
+            raise PositivityError(f"XState{at} stores coherence magnitudes: z and w must be non-negative")
         total = self.a + self.b + self.c + self.d
         at, bad = first_bad(total, abs(total - 1.0) > TRACE_TOL)
         if at is not None:
@@ -101,9 +83,9 @@ class BlochVector:
     """The five correlation coefficients that close under this dynamics.
 
     s1, s2 are the single-qubit z polarizations; c1, c2, c3 the diagonal
-    two-qubit correlators.  Signs live here even when the stored XState has
-    been canonicalized to non-negative coherences.  Float arrays make a
-    stack, as for XState.
+    two-qubit correlators.  Their signs live here, while the XState
+    built from them stores coherence magnitudes (from_bloch).  Float
+    arrays make a stack, as for XState.
     """
 
     s1: float
@@ -114,7 +96,7 @@ class BlochVector:
 
     def __post_init__(self):
         for name in ("s1", "s2", "c1", "c2", "c3"):
-            v = _require_finite_real(getattr(self, name), f"BlochVector.{name}")
+            v = require_finite_real(getattr(self, name), f"BlochVector.{name}")
             object.__setattr__(self, name, v)
             at, bad = first_bad(v, abs(v) > 1.0 + 1e-12)
             if at is not None:
@@ -123,67 +105,6 @@ class BlochVector:
     @property
     def purity(self) -> float:
         return (1.0 + self.s1**2 + self.s2**2 + self.c1**2 + self.c2**2 + self.c3**2) / 4.0
-
-
-@dataclass(frozen=True)
-class GaugeFix:
-    """Result of stripping coherence phases with local z rotations.
-
-    The realized unitary is exp(-i*theta1*sz) (x) exp(-i*theta2*sz), under
-    which the inner coherence picks up exp(-2i(theta1-theta2)) and the
-    outer one exp(-2i(theta1+theta2)).  rotates_frame flags a nontrivial
-    rotation: in that frame the exchange couplings acquire the opposite
-    phases, so closed-form dynamics computed afterwards live in the rotated
-    frame whenever the corresponding coupling (anisotropy for the outer
-    angle sum, exchange for the angle difference) is nonzero.
-    """
-
-    z: float
-    w: float
-    theta1: float
-    theta2: float
-    rotates_frame: bool
-
-
-def gauge_fix(z, w) -> GaugeFix:
-    """Phases removed from the two coherences with two local z rotations.
-
-    Args:
-        z: inner coherence, any complex number.
-        w: outer coherence, any complex number.
-
-    Returns:
-        GaugeFix carrying |z|, |w| and the angles (theta1, theta2) of the
-        realizing unitary exp(-i*theta1*sz) (x) exp(-i*theta2*sz).
-    """
-    zc = complex(z)
-    wc = complex(w)
-    if not (math.isfinite(zc.real) and math.isfinite(zc.imag)
-            and math.isfinite(wc.real) and math.isfinite(wc.imag)):
-        raise InvalidInputError("gauge_fix: coherences must be finite")
-    arg_z = cmath.phase(zc) if zc != 0 else 0.0
-    arg_w = cmath.phase(wc) if wc != 0 else 0.0
-    theta1 = (arg_w + arg_z) / 4.0
-    theta2 = (arg_w - arg_z) / 4.0
-    return GaugeFix(
-        z=abs(zc),
-        w=abs(wc),
-        theta1=theta1,
-        theta2=theta2,
-        rotates_frame=(theta1 != 0.0 or theta2 != 0.0),
-    )
-
-
-def local_rotation(theta1: float, theta2: float) -> np.ndarray:
-    """The diagonal unitary exp(-i*theta1*sz) (x) exp(-i*theta2*sz)."""
-    return np.diag(
-        [
-            cmath.exp(-1j * (theta1 + theta2)),
-            cmath.exp(-1j * (theta1 - theta2)),
-            cmath.exp(1j * (theta1 - theta2)),
-            cmath.exp(1j * (theta1 + theta2)),
-        ]
-    )
 
 
 def xstate_matrix(s: XState) -> np.ndarray:
@@ -233,9 +154,10 @@ def from_bloch(v: BlochVector) -> XState:
 
     The populations are linear in (s1, s2, c3); the coherences come back as
     z = (c1 + c2)/4 and w = (c1 - c2)/4 and are stored as magnitudes, so a
-    vector with a negative combination lands on the gauge-canonical partner
-    state (same spectrum, same purity, fidelity dynamics identical on the
-    Bell-diagonal family).  Raises PositivityError when no state matches.
+    vector with a negative combination lands on the partner state with
+    non-negative coherences (same spectrum, same purity, fidelity dynamics
+    identical on the Bell-diagonal family).  Raises PositivityError when
+    no state matches.
     """
     a = (1.0 + v.s1 + v.s2 + v.c3) / 4.0
     b = (1.0 + v.s1 - v.s2 - v.c3) / 4.0
@@ -253,7 +175,7 @@ def preset_bell_diagonal(c1: float, c2: float, c3: float) -> XState:
     PositivityError through XState validation.
     """
     for name, v in (("c1", c1), ("c2", c2), ("c3", c3)):
-        _require_finite_real(v, f"preset_bell_diagonal.{name}")
+        require_finite_real(v, f"preset_bell_diagonal.{name}")
     return from_bloch(BlochVector(s1=0.0, s2=0.0, c1=float(c1), c2=float(c2), c3=float(c3)))
 
 
@@ -270,7 +192,7 @@ def preset_p_mixture(kind: str, p: float) -> XState:
     """
     if kind not in _P_MIXTURE_KINDS:
         raise RangeError(f"preset_p_mixture: unknown kind {kind!r}, expected one of {_P_MIXTURE_KINDS}")
-    p = _require_finite_real(p, "preset_p_mixture.p")
+    p = require_finite_real(p, "preset_p_mixture.p")
     if not 0.0 <= p <= 1.0:
         raise RangeError(f"preset_p_mixture: p must lie in [0, 1], got {p}")
     if kind.startswith("phi"):
@@ -285,7 +207,7 @@ def preset_werner(x: float) -> XState:
     a magnitude; all three Bloch correlators equal (2x - 1)/3.  A float
     array of x gives a stack.
     """
-    x = _require_finite_real(x, "preset_werner.x")
+    x = require_finite_real(x, "preset_werner.x")
     at, bad = first_bad(x, np.logical_not((-1.0 <= x) & (x <= 1.0)))
     if at is not None:
         raise RangeError(f"preset_werner: x{at} must lie in [-1, 1], got {bad}")

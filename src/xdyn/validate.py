@@ -170,18 +170,6 @@ def _bell_from(u) -> states.XState:
     return states.XState(a=a, b=b, c=b, d=a, z=u[..., 2] * b, w=u[..., 1] * a)
 
 
-def _random_params(rng) -> model.CouplingParams:
-    return _params_from(rng.random(4))
-
-
-def _random_xstate(rng) -> states.XState:
-    return _xstate_from(rng.random(6))
-
-
-def _random_bell_diagonal(rng) -> states.XState:
-    return _bell_from(rng.random(3))
-
-
 class _Extreme:
     """Running maximum (minimum, with lowest=True) of a check over its blocks,
     and the case index where it first occurs."""

@@ -5,11 +5,26 @@ Everything random is seeded per test so failures replay exactly.
 import numpy as np
 import pytest
 
-# The samplers `xdyn validate` draws from, so the suite and the report see
-# the same distributions.
-from xdyn.validate import _random_bell_diagonal as random_bell_diagonal
-from xdyn.validate import _random_params as random_params
-from xdyn.validate import _random_xstate as random_xstate
+from xdyn.validate import _bell_from, _params_from, _xstate_from
+
+
+# One draw of each of the maps `xdyn validate` draws its blocks through, so
+# the suite and the report see the same distributions.
+def random_params(rng):
+    return _params_from(rng.random(4))
+
+
+def random_xstate(rng):
+    return _xstate_from(rng.random(6))
+
+
+def random_bell_diagonal(rng):
+    return _bell_from(rng.random(3))
+
+
+def max_abs(m) -> float:
+    """Largest entrywise modulus."""
+    return float(np.max(np.abs(m)))
 
 
 def random_hermitian(rng, scale=1.0) -> np.ndarray:

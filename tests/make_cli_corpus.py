@@ -65,15 +65,27 @@ CASES = {
     "classify_commuting": ["classify", "--jx", "1.3", "--jy", "0.4", "--jz", "0.5", "--field", "0.7",
                            "--state", "file:tests/data/commuting_state.json"],
     "classify_two_mode": ["classify", *TWO_MODE],
+    "classify_maximally_mixed": ["classify", *ANISO, "--state", "bell_diag:0,0,0"],
+    "classify_zero_field": ["classify", "--jx", "1", "--jy", "0.4", "--jz", "0.5", "--field", "0",
+                            "--state", "bell_diag:0.3,-0.2,0.1"],
+    "classify_bell_periodic": ["classify", *ANISO, "--state", "bell_diag:0.3,-0.2,0.1"],
     "period": ["period", "--jx", "1", "--jy", "1", "--jz", "0.5", "--field", "0.5", "--state", "phi_plus_mix:0.7"],
     "period_abbreviated_t_max": ["period", "--jx", "1", "--jy", "1", "--jz", "0.5", "--field", "0.5",
                                  "--state", "phi_plus_mix:0.7", "--t", "20", "--steps", "800"],
     "period_two_mode": ["period", *TWO_MODE],
+    # two known defects, recorded as they are: the Omega-mode trace prints
+    # nominal_period pi/eta, which is not its period, and the q = 2 trace
+    # on the default grid is refused for too few minima
+    "period_omega_mode": ["period", "--jx", "1.3", "--jy", "0.4", "--jz", "0.5", "--field", "0.7",
+                          "--state", "file:tests/data/omega_mode_state.json"],
+    "period_two_mode_q2": ["period", "--jx", "1", "--jy", "0", "--jz", "0.5", "--field", "0.8660254037844386",
+                           "--state", "file:tests/data/two_mode_state.json"],
     "validate": ["validate", "--seed", "5", "--cases", "10"],
     # refusals
     "evolve_outside_positivity": ["evolve", *ISO, "--state", "bell_diag:0.9,0.9,0.9", "--t", "1"],
     "state_unknown_kind": ["evolve", *ISO, "--state", "nonsense:1", "--t", "1"],
     "state_file_missing": ["classify", *ISO, "--state", "file:tests/data/missing.json"],
+    "state_file_negative_coherence": ["classify", *ISO, "--state", "file:tests/data/negative_coherence_state.json"],
     "scan_beyond_max_steps": ["scan", *ISO, "--state", "werner:0.5", "--steps", "1000001"],
     "evolve_overflowing_phase": ["evolve", "--jx=1e10", "--jy=0", "--jz=0", "--field=0",
                                  "--state", "werner:0.5", "--t", "1e300"],

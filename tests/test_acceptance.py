@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import random_bell_diagonal, random_params, random_xstate
+from conftest import max_abs, random_bell_diagonal, random_params, random_xstate
 from xdyn import (
     CouplingParams,
     PositivityError,
@@ -33,7 +33,6 @@ from xdyn import (
     scan,
     to_density,
 )
-from xdyn.linalg import max_abs
 
 CSV_HEADER = "t,f_numeric,f_closed,purity,c1_minus_c2"
 

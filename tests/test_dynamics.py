@@ -34,7 +34,6 @@ from xdyn import (
     hamiltonian,
     nominal_period,
     overlap_bloch_form,
-    overlap_evolved,
     overlap_population_form,
     preset_bell_diagonal,
     preset_p_mixture,
@@ -48,10 +47,9 @@ from xdyn import (
 )
 from xdyn import dynamics
 from xdyn.dynamics import FidelityTrace
-from xdyn.linalg import max_abs
 from xdyn.validate import _commuting_from
 
-from conftest import random_bell_diagonal, random_params, random_xstate
+from conftest import max_abs, random_bell_diagonal, random_params, random_xstate
 
 PI_OVER_SQRT2 = 2.2214414690791831
 
@@ -115,8 +113,6 @@ def test_one_point_calls_reject_non_finite_time(rng):
     s, p = random_xstate(rng), random_params(rng)
     v = to_bloch(random_bell_diagonal(rng))
     for t in (math.inf, -math.inf, math.nan):
-        with pytest.raises(InvalidInputError, match="overlap_evolved: t must be finite"):
-            overlap_evolved(s, p, t)
         with pytest.raises(InvalidInputError, match="c_difference: t must be finite"):
             c_difference(v, p, t)
         with pytest.raises(InvalidInputError, match="c_difference_predicted: t must be finite"):
@@ -158,11 +154,12 @@ def test_library_forms_refuse_overflowing_phases(form):
 
 
 def test_overlap_evolved_routes(rng):
+    # Tr(rho(0) rho(t)) from the six evolved numbers, as scan and validate take it
     for _ in range(50):
         s = random_xstate(rng)
         p = random_params(rng)
         t = float(rng.uniform(0.0, 8.0))
-        direct = overlap_evolved(s, p, t)
+        direct = dynamics._x_overlap((s.a, s.b, s.c, s.d, s.z, s.w), dynamics._evolve_x(s, p, t))
         via_form = overlap_population_form(s, p, t, corrected=True)
         assert abs(direct - via_form) < 1e-12
 
@@ -174,6 +171,9 @@ def test_time_grid_validation():
         TimeGrid(t_max=1.0, steps=1)
     with pytest.raises(RangeError):
         TimeGrid(t_max=1.0, steps=True)
+    for t_max in ("2", None, True, 1j):
+        with pytest.raises(RangeError, match=rf"^TimeGrid.t_max must be a number, got {t_max!r}$"):
+            TimeGrid(t_max=t_max, steps=5)
     g = TimeGrid(t_max=2.0, steps=5)
     assert np.allclose(g.times(), [0.0, 0.5, 1.0, 1.5, 2.0], atol=0)
 
@@ -184,6 +184,14 @@ def test_fidelity_trace_length_check():
             times=np.zeros(3),
             f_numeric=np.zeros(2),
             f_closed=None,
+            purity=np.zeros(3),
+            c1_minus_c2=np.zeros(3),
+        )
+    with pytest.raises(ConsistencyError, match="f_closed length differs from times"):
+        FidelityTrace(
+            times=np.zeros(3),
+            f_numeric=np.zeros(3),
+            f_closed=np.zeros(2),
             purity=np.zeros(3),
             c1_minus_c2=np.zeros(3),
         )

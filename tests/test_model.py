@@ -25,9 +25,9 @@ from xdyn import (
     sinc,
     spectrum,
 )
-from xdyn.linalg import ID4, max_abs
+from xdyn.linalg import ID4
 
-from conftest import random_params
+from conftest import max_abs, random_params
 
 SQRT_17_OVER_2 = 2.0615528128088303  # sqrt(4.25)
 
@@ -283,6 +283,21 @@ def test_params_reject_non_finite():
         CouplingParams(jx=0.0, jy=math.inf, jz=0.0, field=0.0)
     with pytest.raises(InvalidInputError):
         propagator(CouplingParams(jx=1.0, jy=0.0, jz=0.0, field=0.0), math.inf)
+
+
+@pytest.mark.parametrize("value", [True, False, "1", None, 1j])
+def test_params_reject_non_real(value):
+    # the same refusal XState and TimeGrid give a bool or a str, not "must be finite"
+    with pytest.raises(InvalidInputError, match=rf"^CouplingParams.jz must be a real number, got {value!r}$"):
+        CouplingParams(jx=0.0, jy=0.0, jz=value, field=0.0)
+
+
+def test_params_store_floats():
+    p = CouplingParams(jx=1, jy=0, jz=-2, field=0.5)
+    assert [type(v) for v in (p.jx, p.jy, p.jz, p.field)] == [float] * 4
+    assert p == CouplingParams(1.0, 0.0, -2.0, 0.5)
+    with pytest.raises(InvalidInputError, match=r"^CouplingParams.field must be finite, got nan$"):
+        CouplingParams(jx=0.0, jy=0.0, jz=0.0, field=np.float64("nan"))
 
 
 def test_energies_sum_to_zero(rng):

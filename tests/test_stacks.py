@@ -33,7 +33,7 @@ from xdyn import dynamics, model
 from xdyn.fidelity import _block_min_eigenvalue, _x_min_eigenvalue
 from xdyn.states import _x_matrix
 
-from conftest import random_hermitian, random_params, random_xstate
+from conftest import random_bell_diagonal, random_hermitian, random_params, random_xstate
 
 
 def _stack_params(ps) -> CouplingParams:
@@ -85,11 +85,11 @@ def test_block_draws_reproduce_per_call_stream():
 
 
 def test_block_samplers_match_single_samplers(rng):
-    from xdyn.validate import _bell_from, _params_from, _random_bell_diagonal, _random_params, _random_xstate, _xstate_from
+    from xdyn.validate import _bell_from, _params_from, _xstate_from
 
     seed = int(rng.integers(1 << 30))
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    single = [(_random_xstate(a), _random_params(a), _random_bell_diagonal(a)) for _ in range(40)]
+    single = [(random_xstate(a), random_params(a), random_bell_diagonal(a)) for _ in range(40)]
     u = b.random((40, 13))
     xs, ps, bs = _xstate_from(u[:, :6]), _params_from(u[:, 6:10]), _bell_from(u[:, 10:])
     for name in "abcdzw":

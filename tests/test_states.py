@@ -1,11 +1,8 @@
-"""State construction, gauge fixing, Bloch maps, presets, state files."""
-import cmath
+"""State construction, Bloch maps, presets, state files."""
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from xdyn import (
     BlochVector,
@@ -19,8 +16,6 @@ from xdyn import (
     XState,
     bloch_from_density,
     from_bloch,
-    gauge_fix,
-    local_rotation,
     preset_bell_diagonal,
     preset_p_mixture,
     preset_werner,
@@ -29,9 +24,9 @@ from xdyn import (
     to_density,
     xstate_matrix,
 )
-from xdyn.linalg import ID4, max_abs
+from xdyn.linalg import ID4
 
-from conftest import random_xstate
+from conftest import max_abs, random_xstate
 
 
 def test_maximally_mixed():
@@ -46,7 +41,7 @@ def test_xstate_rejects_bad_trace():
 
 
 def test_xstate_rejects_negative_coherence():
-    with pytest.raises(PositivityError, match="gauge_fix"):
+    with pytest.raises(PositivityError, match="stores coherence magnitudes: z and w must be non-negative"):
         XState(a=0.25, b=0.25, c=0.25, d=0.25, z=-0.1, w=0.0)
 
 
@@ -188,48 +183,6 @@ def test_bloch_from_density_on_non_x_matrix():
     assert abs(v.s1) < 1e-15
 
 
-def test_gauge_fix_frozen():
-    g = gauge_fix(-0.25, 0.25 * cmath.exp(1j * math.pi / 3.0))
-    assert abs(g.z - 0.25) < 1e-16
-    assert abs(g.w - 0.25) < 1e-16
-    assert abs(g.theta1 - math.pi / 3.0) < 1e-15
-    assert abs(g.theta2 + math.pi / 6.0) < 1e-15
-    assert g.rotates_frame
-
-
-def test_gauge_fix_trivial_cases():
-    g = gauge_fix(0.0, 0.0)
-    assert (g.z, g.w, g.theta1, g.theta2, g.rotates_frame) == (0.0, 0.0, 0.0, 0.0, False)
-    g = gauge_fix(0.1, 0.2)
-    assert (g.z, g.w, g.rotates_frame) == (0.1, 0.2, False)
-    with pytest.raises(InvalidInputError):
-        gauge_fix(complex(math.nan, 0.0), 0.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_gauge_fix_rotation_realizes_canonical_form(seed):
-    """Conjugating by the returned rotation makes both coherences real >= 0."""
-    r = np.random.default_rng(seed)
-    z = complex(r.uniform(-0.2, 0.2), r.uniform(-0.2, 0.2))
-    w = complex(r.uniform(-0.2, 0.2), r.uniform(-0.2, 0.2))
-    m = np.diag([0.3, 0.25, 0.25, 0.2]).astype(complex)
-    m[1, 2], m[2, 1] = z, z.conjugate()
-    m[0, 3], m[3, 0] = w, w.conjugate()
-    g = gauge_fix(z, w)
-    u = local_rotation(g.theta1, g.theta2)
-    rotated = u @ m @ u.conj().T
-    assert abs(rotated[1, 2] - g.z) < 1e-15
-    assert abs(rotated[0, 3] - g.w) < 1e-15
-    assert max_abs(np.diag(np.diag(rotated)) - np.diag(np.diag(m))) < 1e-15
-
-
-def test_local_rotation_is_diagonal_unitary():
-    u = local_rotation(0.4, -1.1)
-    assert max_abs(u @ u.conj().T - ID4) < 1e-15
-    assert max_abs(u - np.diag(np.diag(u))) == 0.0
-
-
 def test_positivity_routes_agree(rng):
     # closed-form block test vs LAPACK eigenvalues at the same floor
     agree = 0
@@ -339,6 +292,20 @@ def test_state_from_json_schema_errors():
         state_from_json([1, 2, 3])
     with pytest.raises(StateFileError, match=r"abcdzw\[0\]"):
         state_from_json({"abcdzw": [math.inf, 0.25, 0.25, 0.25, 0.0, 0.0]})
+    for preset, message in [
+        ([0.8], '"preset" must be an object'),
+        ({"name": "werner", "args": [0.8], "kind": "x"}, r"unknown field\(s\) \['kind'\] in \"preset\""),
+        ({"name": 3, "args": [0.8]}, '"preset.name" must be a string'),
+        ({"args": [0.8]}, '"preset.name" must be a string'),
+        ({"name": "werner", "args": 0.8}, '"preset.args" must be a list'),
+        ({"name": "werner"}, '"preset.args" must be a list'),
+        ({"name": "bell_diagonal", "args": [0.1, 0.2]}, r"must hold \[c1, c2, c3\] for bell_diagonal"),
+        ({"name": "p_mixture", "args": ["phi_plus"]}, r"must hold \[kind, p\] for p_mixture"),
+        ({"name": "werner", "args": [0.8, 0.1]}, r"must hold \[x\] for werner"),
+        ({"name": "werner", "args": []}, r"must hold \[x\] for werner"),
+    ]:
+        with pytest.raises(StateFileError, match=message):
+            state_from_json({"preset": preset})
 
 
 def test_state_from_json_physical_errors_pass_through():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from xdyn import RangeError, expm, hamiltonian, propagator, run_validation
-from xdyn.linalg import max_abs
 from xdyn.validate import BLOCK, CheckResult, ValidationReport, _params_from, _uniform
+
+from conftest import max_abs
 
 DATA = pathlib.Path(__file__).parent / "data"
 
