@@ -80,12 +80,22 @@ CASES = {
                           "--state", "file:tests/data/omega_mode_state.json"],
     "period_two_mode_q2": ["period", "--jx", "1", "--jy", "0", "--jz", "0.5", "--field", "0.8660254037844386",
                            "--state", "file:tests/data/two_mode_state.json"],
+    # a moving Bell-diagonal state whose eta mode a field of 1e-9 barely excites
+    "classify_bell_weak_field": ["classify", "--jx=1", "--jy=0", "--jz=0", "--field=1e-9",
+                                 "--state", "bell_diag:0.3,-0.2,0.1"],
+    "period_bell_weak_field": ["period", "--jx=1", "--jy=0", "--jz=0", "--field=1e-9",
+                               "--state", "bell_diag:0.3,-0.2,0.1"],
+    "period_stationary_werner": ["period", "--jx", "1", "--jy", "1", "--jz", "0.5", "--field", "1.5",
+                                 "--state", "werner:0.8"],
     "validate": ["validate", "--seed", "5", "--cases", "10"],
     # refusals
     "evolve_outside_positivity": ["evolve", *ISO, "--state", "bell_diag:0.9,0.9,0.9", "--t", "1"],
     "state_unknown_kind": ["evolve", *ISO, "--state", "nonsense:1", "--t", "1"],
     "state_file_missing": ["classify", *ISO, "--state", "file:tests/data/missing.json"],
     "state_file_negative_coherence": ["classify", *ISO, "--state", "file:tests/data/negative_coherence_state.json"],
+    "state_file_not_utf8": ["classify", *ISO, "--state", "file:tests/data/utf16_state.json"],
+    "state_file_deeply_nested": ["classify", *ISO, "--state", "file:tests/data/deeply_nested_state.json"],
+    "state_file_huge_int": ["classify", *ISO, "--state", "file:tests/data/huge_int_state.json"],
     "scan_beyond_max_steps": ["scan", *ISO, "--state", "werner:0.5", "--steps", "1000001"],
     "evolve_overflowing_phase": ["evolve", "--jx=1e10", "--jy=0", "--jz=0", "--field=0",
                                  "--state", "werner:0.5", "--t", "1e300"],
@@ -104,6 +114,8 @@ CASES = {
                                          "0.3", "--state", "file:tests/data/two_mode_state.json"],
     "scan_overflowing_default_t_max": ["scan", "--jx", "6e-308", "--jy", "0", "--jz", "0", "--field", "0",
                                        "--state", "bell_diag:0.3,0.2,0.1", "--steps", "3"],
+    "period_overflowing_default_t_max": ["period", "--jx", "3e-308", "--jy", "0", "--jz", "0", "--field", "3e-308",
+                                         "--state", "bell_diag:0.3,0.2,0.1", "--steps", "3"],
     "period_insufficient_span": ["period", *ANISO, "--state", "bell_diag:0.3,-0.2,0.1", "--t-max", "1"],
     "validate_tiny_budget": ["validate", "--cases", "3"],
     "validate_negative_seed": ["validate", "--seed", "-1"],
