@@ -17,7 +17,6 @@ from .dynamics import (
     detect_period,
     evolve_closed,
     evolve_oracle,
-    nominal_period,
     scan,
 )
 from .errors import (
@@ -107,7 +106,6 @@ __all__ = [
     "frequencies",
     "from_bloch",
     "hamiltonian",
-    "nominal_period",
     "overlap_bloch_form",
     "overlap_population_form",
     "preset_bell_diagonal",

@@ -10,14 +10,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
 from collections.abc import Iterable
 
 from . import model, states
-from .dynamics import TimeGrid, _period, classify, detect_period, evolve_closed, nominal_period, scan
-from .errors import DomainError, OutputFileError, StateFileError, XdynError
+from .dynamics import TimeGrid, _period, classify, detect_period, evolve_closed, scan
+from .errors import DomainError, OutputFileError, RangeError, StateFileError, XdynError
 from .fidelity import purity
 from .validate import run_validation
 
@@ -55,12 +56,10 @@ def _parse_real(text: str, where: str) -> float:
 def _load_state_file(path: str) -> states.XState:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
+            obj = json.loads(fh.read())
     except OSError as exc:
         raise StateFileError(f"--state file: cannot read {path!r}: {exc}") from None
-    try:
-        obj = json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
         raise StateFileError(f"--state file {path!r}: invalid JSON: {exc}") from None
     return states.state_from_json(obj)
 
@@ -101,11 +100,13 @@ def _params_from(ns: argparse.Namespace) -> model.CouplingParams:
     return model.CouplingParams(jx=ns.jx, jy=ns.jy, jz=ns.jz, field=ns.field)
 
 
-def _grid_from(ns: argparse.Namespace, p: model.CouplingParams) -> TimeGrid:
+def _grid_from(ns: argparse.Namespace, p: model.CouplingParams, period: float | None = None) -> TimeGrid:
     t_max = ns.t_max
-    if t_max is None:  # three nominal periods
+    if t_max is None:  # three of the given periods, else three pi/eta, or 10 when eta = 0
         eta = model.frequencies(p).eta
-        t_max = _period(3, eta) if eta else DEFAULT_T_MAX
+        t_max = 3.0 * period if period is not None else _period(3, eta) if eta else DEFAULT_T_MAX
+        if math.isinf(t_max):  # three given periods; _period refuses its own overflow
+            raise RangeError(f"the default --t-max, 3 * {period!r}, overflows a float")
     return TimeGrid(t_max=t_max, steps=ns.steps)
 
 
@@ -214,9 +215,6 @@ def _cmd_classify(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
 def _cmd_period(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
     p = _params_from(ns)
     s = parse_state_arg(ns.state)
-    grid = _grid_from(ns, p)
-    trace = scan(s, p, grid)
-    # After the scan, so that every request the scan refuses keeps its message
     verdict = classify(s, p)
     if verdict.kind == "quasi_periodic":
         eta_period, omega_period = verdict.mode_periods
@@ -224,11 +222,12 @@ def _cmd_period(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
             f"period: the trace is quasi-periodic: its mode_periods {eta_period!r} (pi/eta) "
             f"and {omega_period!r} (pi/|Omega|) share no common period"
         )
+    grid = _grid_from(ns, p, verdict.period)
     payload = {
         "t_max": grid.t_max,
         "steps": grid.steps,
-        "detected_period": detect_period(trace),
-        "nominal_period": nominal_period(p),
+        "detected_period": detect_period(scan(s, p, grid)),
+        "nominal_period": verdict.period,
     }
     return [json.dumps(payload, indent=2) + "\n"], 0
 
@@ -263,15 +262,16 @@ _STATE = (
         ),
     ),
 )
-_GRID = (
-    _arg(
-        "--t-max",
-        type=float,
-        default=None,
-        help="scan horizon (default: three nominal periods, or 10 if none)",
-    ),
-    _arg("--steps", type=int, default=DEFAULT_STEPS, help="grid points, at least 2"),
-)
+
+
+def _grid(t_max_default: str) -> tuple:
+    """--t-max, with its default as the command's help states it, and --steps."""
+    return (
+        _arg("--t-max", type=float, default=None, help=f"scan horizon (default: {t_max_default})"),
+        _arg("--steps", type=int, default=DEFAULT_STEPS, help="grid points, at least 2"),
+    )
+
+
 _OUT = (_arg("--out", default=None, help="write output here instead of stdout"),)
 _PHASE = _arg("--phase", action="store_true", help="include the global phase factor")
 
@@ -292,7 +292,7 @@ _COMMANDS = {
     "scan": (
         _cmd_scan,
         "fidelity trace over a time grid",
-        _COUPLING + _STATE + _GRID + _OUT
+        _COUPLING + _STATE + _grid("three nominal periods, or 10 if none") + _OUT
         + (_arg("--format", choices=("csv", "json"), default="csv", help="output format"),),
     ),
     "classify": (
@@ -300,7 +300,11 @@ _COMMANDS = {
         "stationary, periodic or quasi-periodic verdict",
         _COUPLING + _STATE + _OUT,
     ),
-    "period": (_cmd_period, "detected oscillation period", _COUPLING + _STATE + _GRID + _OUT),
+    "period": (
+        _cmd_period,
+        "detected oscillation period",
+        _COUPLING + _STATE + _grid("three of classify's periods; as for scan when stationary") + _OUT,
+    ),
     "validate": (
         _cmd_validate,
         "oracle checks and formula adjudication",

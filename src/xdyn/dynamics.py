@@ -103,8 +103,9 @@ class StationarityVerdict:
     period is present exactly for periodic verdicts; mode_periods, the
     periods (pi/eta, pi/|Omega|) of the two modes, exactly for
     quasi_periodic ones.  reason is maximally_mixed, zero_field or
-    c1_equals_c2 for a stationary Bell-diagonal state, commutes for any
-    other stationary state, and generic for every state that moves.
+    c1_equals_c2 for a stationary Bell-diagonal state (I/4, B = 0 or
+    c1 = c2, the most specific first), commutes for any other stationary
+    state, and generic for every state that moves.
     """
 
     kind: str
@@ -259,56 +260,52 @@ def _period(multiple: int, rate: float) -> float:
     return period
 
 
-def nominal_period(p: model.CouplingParams) -> float | None:
-    """pi / eta, or None when eta = 0."""
-    eta = model.frequencies(p).eta
-    return _period(1, eta) if eta else None
-
-
 def _mode_amplitudes(s: states.XState, p: model.CouplingParams, f: model.DerivedFrequencies) -> tuple:
     """(B_eta, C): the amplitudes in Tr rho(0) rho(t) = A + B_eta cos 2 eta t + C cos 2 Omega t.
 
     B_eta = ((a - d) Delta - 2 B w)^2 / (2 eta^2) and C = (b - c)^2 / 2, with
     A = purity - B_eta - C.  B_eta is 0 at eta = 0, where B = Delta = 0.
-    Floats or arrays (stacks of states and couplings).
+    Floats or arrays (stacks).  (2 w) B cannot overflow where 2 B can.
     """
-    r = ((s.a - s.d) * f.delta - 2.0 * p.field * s.w) / (f.eta + (f.eta == 0.0))
+    r = ((s.a - s.d) * f.delta - 2.0 * s.w * p.field) / (f.eta + (f.eta == 0.0))
     return 0.5 * r * r, 0.5 * (s.b - s.c) * (s.b - s.c)
+
+
+def _stationary_reason(s: states.XState, p: model.CouplingParams) -> str:
+    """Why a stationary state is so: the most specific Bell-diagonal reason, else commutes."""
+    v = states.to_bloch(s)
+    if not is_bell_diagonal(v):
+        return "commutes"
+    if all(abs(x) <= BELL_DIAGONAL_TOL for x in (v.s1, v.s2, v.c1, v.c2, v.c3)):
+        return "maximally_mixed"
+    if p.field == 0.0:
+        return "zero_field"
+    if abs(v.c1 - v.c2) <= BELL_DIAGONAL_TOL:
+        return "c1_equals_c2"
+    return "commutes"
 
 
 def classify(s: states.XState, p: model.CouplingParams) -> StationarityVerdict:
     """Stationary, periodic or quasi-periodic verdict for an initial state.
 
-    Bell-diagonal states are decided by their Bloch coefficients (the most
-    specific reason first, so the maximally mixed state is reported as
-    such).  Any other state is decided from its two mode amplitudes: a mode
-    at zero frequency is constant, and with B and C the amplitudes of the
-    others, 1 - F(t) never exceeds 2 (B + C) / purity, so the state is
-    stationary (it commutes with H) when that bound is below
-    STATIONARY_TOL.  A mode is live when it alone can move 1 - F by
-    STATIONARY_TOL / 2.  One live mode gives its period: nominal_period(p)
-    for eta, pi/|Omega| for Omega.  Two give q nominal_period(p) when
-    |Omega|/eta = n/q in lowest terms with q <= MAX_DENOMINATOR (to
-    COMMENSURATE_TOL), and quasi_periodic otherwise.
+    Every state is decided from its two mode amplitudes: a mode at zero
+    frequency is constant, and with B and C the amplitudes of the others,
+    1 - F(t) never exceeds 2 (B + C) / purity, so the state is stationary
+    (it commutes with H) when that bound is below STATIONARY_TOL.  The
+    Bloch coefficients of a stationary state only name its reason.  A
+    mode is live when it alone can move 1 - F by STATIONARY_TOL / 2.  One
+    live mode gives its period: pi/eta for eta, pi/|Omega| for Omega.  Two
+    give q pi/eta when |Omega|/eta = n/q in lowest terms with
+    q <= MAX_DENOMINATOR (to COMMENSURATE_TOL), and quasi_periodic
+    otherwise.
     """
-    f = model.frequencies(p)  # refuses couplings whose frequencies overflow, on every route
-    v = states.to_bloch(s)
-    if is_bell_diagonal(v):
-        coeffs = (v.s1, v.s2, v.c1, v.c2, v.c3)
-        if all(abs(x) <= BELL_DIAGONAL_TOL for x in coeffs):
-            return StationarityVerdict(kind="stationary", reason="maximally_mixed")
-        if p.field == 0.0:
-            return StationarityVerdict(kind="stationary", reason="zero_field")
-        if abs(v.c1 - v.c2) <= BELL_DIAGONAL_TOL:
-            return StationarityVerdict(kind="stationary", reason="c1_equals_c2")
-        return StationarityVerdict(kind="periodic", reason="generic", period=_period(1, f.eta))
-
+    f = model.frequencies(p)  # refuses couplings whose frequencies overflow
     b_eta, c = _mode_amplitudes(s, p, f)
     if f.omega == 0.0:
         c = 0.0
     budget = STATIONARY_TOL * s.purity
     if 2.0 * (b_eta + c) < budget:
-        return StationarityVerdict(kind="stationary", reason="commutes")
+        return StationarityVerdict(kind="stationary", reason=_stationary_reason(s, p))
     live_eta, live_omega = 4.0 * b_eta >= budget, 4.0 * c >= budget
     if not live_omega:
         return StationarityVerdict(kind="periodic", reason="generic", period=_period(1, f.eta))

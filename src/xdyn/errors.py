@@ -68,8 +68,8 @@ def require_finite_real(value, name: str):
     """value as a float, or a float array (one field of a stack) as is.
 
     Raises InvalidInputError for anything that is not a real number (a bool
-    or a str included) and for a non-finite value, naming a stack's first
-    bad element.
+    or a str included) and for a non-finite value, an int too large for a
+    float included, naming a stack's first bad element.
     """
     if isinstance(value, np.ndarray) and value.dtype == float:
         at, bad = first_bad(value, ~np.isfinite(value))
@@ -78,7 +78,10 @@ def require_finite_real(value, name: str):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise InvalidInputError(f"{name} must be finite, got an int too large for a float") from None
     if not math.isfinite(v):
         raise InvalidInputError(f"{name} must be finite, got {v!r}")
     return v

@@ -8,13 +8,13 @@ not by the stored state.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import (
+    InvalidInputError,
     NormalizationError,
     PositivityError,
     RangeError,
@@ -220,9 +220,10 @@ def preset_werner(x: float) -> XState:
 def _json_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise StateFileError(f'field "{field}" must be a number, got {value!r}')
-    if not math.isfinite(float(value)):
-        raise StateFileError(f'field "{field}" must be finite, got {value!r}')
-    return float(value)
+    try:
+        return require_finite_real(value, f'field "{field}"')
+    except InvalidInputError as exc:
+        raise StateFileError(str(exc)) from None
 
 
 def state_from_json(obj) -> XState:

@@ -73,14 +73,14 @@ CASES = {
     "period_abbreviated_t_max": ["period", "--jx", "1", "--jy", "1", "--jz", "0.5", "--field", "0.5",
                                  "--state", "phi_plus_mix:0.7", "--t", "20", "--steps", "800"],
     "period_two_mode": ["period", *TWO_MODE],
-    # two known defects, recorded as they are: the Omega-mode trace prints
-    # nominal_period pi/eta, which is not its period, and the q = 2 trace
-    # on the default grid is refused for too few minima
+    # one live Omega mode (period pi/|Omega|), and two modes with |Omega|/eta = 1/2
+    # (period 2 pi/eta): the default window holds three of classify's periods
     "period_omega_mode": ["period", "--jx", "1.3", "--jy", "0.4", "--jz", "0.5", "--field", "0.7",
                           "--state", "file:tests/data/omega_mode_state.json"],
     "period_two_mode_q2": ["period", "--jx", "1", "--jy", "0", "--jz", "0.5", "--field", "0.8660254037844386",
                            "--state", "file:tests/data/two_mode_state.json"],
-    # a moving Bell-diagonal state whose eta mode a field of 1e-9 barely excites
+    # a Bell-diagonal state whose eta mode a field of 1e-9 moves by less than
+    # STATIONARY_TOL: stationary, and period keeps the window 3 pi/eta
     "classify_bell_weak_field": ["classify", "--jx=1", "--jy=0", "--jz=0", "--field=1e-9",
                                  "--state", "bell_diag:0.3,-0.2,0.1"],
     "period_bell_weak_field": ["period", "--jx=1", "--jy=0", "--jz=0", "--field=1e-9",
@@ -109,7 +109,10 @@ CASES = {
     "scan_overflowing_omega": ["scan", "--jx", "1e308", "--jy", "1e308", "--jz", "0", "--field", "1",
                                "--state", "werner:0.5", "--steps", "3"],
     "period_overflowing_nominal_period": ["period", "--jx", "1e-323", "--jy", "0", "--jz", "0", "--field", "0",
-                                          "--state", "bell_diag:0.3,0.2,0.1", "--t-max", "10"],
+                                          "--state", "file:tests/data/two_mode_state.json", "--t-max", "10"],
+    # stationary at eta = 5e-324: no period, so none to overflow
+    "period_stationary_subnormal_eta": ["period", "--jx", "1e-323", "--jy", "0", "--jz", "0", "--field", "0",
+                                        "--state", "bell_diag:0.3,0.2,0.1", "--t-max", "10"],
     "classify_overflowing_mode_period": ["classify", "--jx", "1e-323", "--jy", "1e-323", "--jz", "0", "--field",
                                          "0.3", "--state", "file:tests/data/two_mode_state.json"],
     "scan_overflowing_default_t_max": ["scan", "--jx", "6e-308", "--jy", "0", "--jz", "0", "--field", "0",

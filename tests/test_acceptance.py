@@ -20,13 +20,14 @@ from xdyn import (
     PositivityError,
     TimeGrid,
     XState,
+    classify,
     detect_period,
     evolve_closed,
     evolve_oracle,
     expm,
     fidelity,
+    frequencies,
     hamiltonian,
-    nominal_period,
     preset_p_mixture,
     preset_werner,
     propagator,
@@ -130,8 +131,9 @@ def test_c04_bell_diagonal_fidelity_closed_form():
 
 
 def _stationary_worst(s: XState, p: CouplingParams, draws_label: str) -> float:
-    period = nominal_period(p)
-    t_max = 3.0 * period if period is not None else 10.0
+    assert classify(s, p).kind == "stationary", draws_label
+    eta = frequencies(p).eta  # the window of three pi/eta that period keeps for a stationary state
+    t_max = 3.0 * (math.pi / eta) if eta else 10.0
     trace = scan(s, p, TimeGrid(t_max=t_max, steps=150))
     return float(np.max(1.0 - trace.f_numeric))
 
@@ -204,22 +206,21 @@ def test_c06_mixture_fidelity_law_and_minimum():
     assert k_min == 1, "minimum not at t = pi/2"
 
 
-def _default_grid(p: CouplingParams) -> TimeGrid:
-    period = nominal_period(p)
-    t_max = 3.0 * period if period is not None else 10.0
-    return TimeGrid(t_max=t_max, steps=5000)
+def _default_grid(s: XState, p: CouplingParams) -> TimeGrid:
+    # period's default window: three of classify's periods
+    return TimeGrid(t_max=3.0 * classify(s, p).period, steps=5000)
 
 
 def test_c07_period_detection_on_default_grid():
     s = preset_p_mixture("phi_plus", 0.7)
 
     p_a = CouplingParams(jx=1.0, jy=1.0, jz=0.5, field=0.5)
-    found_a = detect_period(scan(s, p_a, _default_grid(p_a)))
+    found_a = detect_period(scan(s, p_a, _default_grid(s, p_a)))
     rel_a = abs(found_a - 2.0 * math.pi) / (2.0 * math.pi)
 
     p_b = CouplingParams(jx=2.0, jy=0.0, jz=0.5, field=1.0)
     expected_b = math.pi / math.sqrt(2.0)
-    found_b = detect_period(scan(s, p_b, _default_grid(p_b)))
+    found_b = detect_period(scan(s, p_b, _default_grid(s, p_b)))
     rel_b = abs(found_b - expected_b) / expected_b
 
     ok = rel_a <= 1e-4 and rel_b <= 1e-4

@@ -14,7 +14,8 @@ from xdyn._text import BLOCK
 from xdyn.cli import _emit, _trace_csv, _trace_json, build_parser, main
 
 ISO = ["--jx", "1", "--jy", "1", "--jz", "1", "--field", "0"]
-TWO_MODE_STATE = Path(__file__).resolve().parent / "data" / "two_mode_state.json"
+DATA = Path(__file__).resolve().parent / "data"
+TWO_MODE_STATE = DATA / "two_mode_state.json"
 
 
 def run_cli(capsys, *argv):
@@ -354,6 +355,33 @@ def test_period_refuses_a_quasi_periodic_trace(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: period: the trace is quasi-periodic")
     assert all(repr(t) in err for t in mode_periods)
+    # refused before the grid is built, whatever the grid flags
+    code, out, err = run_cli(capsys, "period", *argv, "--steps", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: period: the trace is quasi-periodic")
+
+
+@pytest.mark.parametrize(
+    "couplings, state",
+    [
+        (["--jx", "1.3", "--jy", "0.4", "--jz", "0.5", "--field", "0.7"], "omega_mode_state.json"),
+        (["--jx", "1", "--jy", "0", "--jz", "0.5", "--field", "0.8660254037844386"], "two_mode_state.json"),
+    ],
+    ids=["omega_mode", "two_mode_q2"],
+)
+def test_period_default_window_holds_three_of_classify_periods(capsys, couplings, state):
+    # the Omega mode alone (pi/|Omega|), and two modes with |Omega|/eta = 1/2 (2 pi/eta)
+    argv = [*couplings, "--state", f"file:{DATA / state}"]
+    code, out, _ = run_cli(capsys, "classify", *argv)
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["kind"] == "periodic"
+    period = verdict["period"]
+    code, out, err = run_cli(capsys, "period", *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["t_max"] == 3.0 * period and payload["nominal_period"] == period
+    assert abs(payload["detected_period"] - period) <= 1e-3 * period
 
 
 def test_validate_subcommand(capsys):
@@ -408,6 +436,11 @@ def test_exit_code_state_file_errors(tmp_path, capsys):
     bad_json.write_text("{not json")
     code, _, err = run_cli(capsys, "evolve", *ISO, "--state", f"file:{bad_json}", "--t", "1")
     assert code == 2 and "invalid JSON" in err
+
+    # not UTF-8, nested deeper than the parser recurses, an int too large for a float
+    for name in ("utf16_state.json", "deeply_nested_state.json", "huge_int_state.json"):
+        code, out, err = run_cli(capsys, "evolve", *ISO, "--state", f"file:{DATA / name}", "--t", "1")
+        assert code == 2 and out == "" and err.startswith("error: "), name
 
     bad_schema = tmp_path / "schema.json"
     bad_schema.write_text(json.dumps({"nope": 1}))

@@ -31,8 +31,8 @@ from xdyn import (
     fidelity,
     fidelity_bell_diagonal,
     frequencies,
+    from_bloch,
     hamiltonian,
-    nominal_period,
     overlap_bloch_form,
     overlap_population_form,
     preset_bell_diagonal,
@@ -52,6 +52,10 @@ from xdyn.validate import _commuting_from
 from conftest import max_abs, random_bell_diagonal, random_params, random_xstate
 
 PI_OVER_SQRT2 = 2.2214414690791831
+
+
+def _pi_over_eta(p: CouplingParams) -> float:
+    return math.pi / frequencies(p).eta
 
 
 def test_evolve_closed_matches_oracle(rng):
@@ -344,9 +348,12 @@ def test_c_difference_rejects_polarized():
 
 
 def test_nominal_period_frozen():
-    assert abs(nominal_period(CouplingParams(1.0, 1.0, 0.3, 0.5)) - 2.0 * math.pi) < 1e-15
-    assert abs(nominal_period(CouplingParams(2.0, 0.0, 0.0, 1.0)) - PI_OVER_SQRT2) < 1e-15
-    assert nominal_period(CouplingParams(1.0, 1.0, 0.9, 0.0)) is None
+    # the period command's nominal_period is classify's period: pi/eta for a moving Bell-diagonal state
+    s = preset_p_mixture("phi_plus", 0.5)
+    assert abs(classify(s, CouplingParams(1.0, 1.0, 0.3, 0.5)).period - 2.0 * math.pi) < 1e-15
+    assert abs(classify(s, CouplingParams(2.0, 0.0, 0.0, 1.0)).period - PI_OVER_SQRT2) < 1e-15
+    verdict = classify(s, CouplingParams(1.0, 1.0, 0.9, 0.0))  # eta = 0
+    assert (verdict.kind, verdict.reason, verdict.period) == ("stationary", "zero_field", None)
 
 
 def test_classify_maximally_mixed_takes_precedence():
@@ -385,6 +392,29 @@ def test_classify_psi_mixtures_stationary_any_field(rng):
         assert verdict.kind == "stationary"
 
 
+def test_classify_bell_diagonal_in_a_weak_field_is_stationary():
+    # the eta mode moves 1 - F by under 1e-18, below STATIONARY_TOL: no period, and
+    # neither B = 0 nor c1 = c2 holds, so the reason is commutes
+    verdict = classify(preset_bell_diagonal(0.3, -0.2, 0.1), CouplingParams(1.0, 0.0, 0.0, 1e-9))
+    assert (verdict.kind, verdict.reason, verdict.period) == ("stationary", "commutes", None)
+
+
+def test_classify_is_continuous_across_the_bell_diagonal_tolerance(rng):
+    # a Bell-diagonal state and its twin with s1 = +-2e-12, just outside BELL_DIAGONAL_TOL,
+    # get the same kind; fields over twelve decades put pairs on both sides of STATIONARY_TOL
+    kinds = set()
+    for k in range(300):
+        s = random_bell_diagonal(rng)
+        v = to_bloch(s)
+        twin = from_bloch(BlochVector((-1.0) ** k * 2e-12, 0.0, v.c1, v.c2, v.c3))
+        p = random_params(rng)
+        p = CouplingParams(p.jx, p.jy, p.jz, 10.0 ** rng.uniform(-12.0, 0.0))
+        kind = classify(s, p).kind
+        assert classify(twin, p).kind == kind, (v, p)
+        kinds.add(kind)
+    assert kinds == {"stationary", "periodic"}
+
+
 def test_classify_non_bell_stationary_commutes():
     # polarized but commuting: diagonal outer block, inner aligned with
     # the exchange term, jx = jy so the outer coupling vanishes
@@ -401,7 +431,7 @@ def test_classify_non_bell_periodic():
     p = CouplingParams(1.3, 0.5, 0.2, 0.9)
     verdict = classify(s, p)
     assert (verdict.kind, verdict.reason, verdict.period) == ("quasi_periodic", "generic", None)
-    assert verdict.mode_periods == (nominal_period(p), math.pi / 0.9)
+    assert verdict.mode_periods == (_pi_over_eta(p), math.pi / 0.9)
 
 
 def test_classify_free_hamiltonian_everything_stationary():
@@ -531,16 +561,16 @@ def test_classify_commensurate_modes_are_periodic(ratio, q):
     p = CouplingParams(ratio + 0.8, ratio - 0.8, 0.3, 0.6)
     verdict = classify(ROADMAP_STATE, p)
     assert verdict.kind == ("quasi_periodic" if q is None else "periodic")
-    assert verdict.period == (None if q is None else q * nominal_period(p))
+    assert verdict.period == (None if q is None else q * _pi_over_eta(p))
 
 
 @pytest.mark.parametrize(
     "p, kind, period",
     [
         (CouplingParams(0.9, 0.9, 0.3, 0.0), "periodic", lambda p: math.pi / 0.9),  # eta = 0: the Omega mode
-        (CouplingParams(0.9, -0.9, 0.3, 0.5), "periodic", nominal_period),  # Omega = 0: the eta mode
+        (CouplingParams(0.9, -0.9, 0.3, 0.5), "periodic", _pi_over_eta),  # Omega = 0: the eta mode
         (CouplingParams(0.0, 0.0, 0.3, 0.0), "stationary", lambda p: None),  # eta = Omega = 0
-        (CouplingParams(1.3, 0.4, 0.3, 0.0), "periodic", lambda p: 9 * nominal_period(p)),  # zero field: Omega/eta = 17/9
+        (CouplingParams(1.3, 0.4, 0.3, 0.0), "periodic", lambda p: 9 * _pi_over_eta(p)),  # zero field: Omega/eta = 17/9
     ],
     ids=["eta_zero", "omega_zero", "eta_omega_zero", "zero_field"],
 )
@@ -561,16 +591,17 @@ def test_classify_refuses_overflowing_frequencies():
 def test_periods_that_overflow_are_refused():
     # pi / eta and pi / |Omega| overflow a float for subnormal frequencies
     with pytest.raises(RangeError, match=r"the period 1 \* pi / 5e-324 overflows a float"):
-        nominal_period(CouplingParams(1e-323, 0.0, 0.0, 0.0))
+        classify(ROADMAP_STATE, CouplingParams(1e-323, 0.0, 0.0, 0.0))
     with pytest.raises(RangeError, match=r"the period 1 \* pi / 1e-323 overflows a float"):
         classify(ROADMAP_STATE, CouplingParams(1e-323, 1e-323, 0.5, 0.7))
 
 
 def test_nominal_period_is_pi_over_eta_up_to_the_largest_field():
-    # 2 B overflows while eta = B is still finite
+    # 2 B overflows while eta = B is still finite; 2 w B does not, so w = 0 stays stationary
     p = CouplingParams(1.0, 1.0, 0.0, 1e308)
-    assert nominal_period(p) == math.pi / 1e308 > 0.0
-    assert classify(preset_bell_diagonal(0.3, 0.2, 0.1), p).period == math.pi / 1e308
+    assert classify(preset_bell_diagonal(0.3, 0.2, 0.1), p).period == math.pi / 1e308 > 0.0
+    assert classify(preset_werner(0.5), p).reason == "maximally_mixed"
+    assert classify(preset_werner(0.8), p).reason == "c1_equals_c2"
 
 
 def test_detect_period_flat_trace_is_none():

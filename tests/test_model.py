@@ -283,6 +283,8 @@ def test_params_reject_non_finite():
         CouplingParams(jx=0.0, jy=math.inf, jz=0.0, field=0.0)
     with pytest.raises(InvalidInputError):
         propagator(CouplingParams(jx=1.0, jy=0.0, jz=0.0, field=0.0), math.inf)
+    with pytest.raises(InvalidInputError, match=r"^CouplingParams.jx must be finite, got an int too large for a float$"):
+        CouplingParams(jx=10**400, jy=0.0, jz=0.0, field=0.0)
 
 
 @pytest.mark.parametrize("value", [True, False, "1", None, 1j])

@@ -55,6 +55,8 @@ def test_xstate_rejects_excess_coherence():
 def test_xstate_rejects_non_finite_and_non_real():
     with pytest.raises(InvalidInputError):
         XState(a=math.nan, b=0.25, c=0.25, d=0.25, z=0.0, w=0.0)
+    with pytest.raises(InvalidInputError, match="int too large for a float"):
+        preset_werner(10**400)
     with pytest.raises(InvalidInputError):
         XState(a=True, b=0.25, c=0.25, d=0.25, z=0.0, w=0.0)
 
@@ -292,6 +294,8 @@ def test_state_from_json_schema_errors():
         state_from_json([1, 2, 3])
     with pytest.raises(StateFileError, match=r"abcdzw\[0\]"):
         state_from_json({"abcdzw": [math.inf, 0.25, 0.25, 0.25, 0.0, 0.0]})
+    with pytest.raises(StateFileError, match=r'^field "bloch\[2\]" must be finite, got an int too large for a float$'):
+        state_from_json({"bloch": [0, 0, 10**400, 0, 0]})
     for preset, message in [
         ([0.8], '"preset" must be an object'),
         ({"name": "werner", "args": [0.8], "kind": "x"}, r"unknown field\(s\) \['kind'\] in \"preset\""),
