@@ -26,6 +26,8 @@ ISO = ["--jx", "1", "--jy", "1", "--jz", "1", "--field", "0"]
 ANISO = ["--jx", "1", "--jy", "0.4", "--jz", "0.5", "--field", "0.8"]
 TWO_MODE = ["--jx", "1.3", "--jy", "0.4", "--jz", "0.5", "--field", "0.7",
             "--state", "file:tests/data/two_mode_state.json"]
+# couplings whose eta overflows a float, for argv with a second fault
+OVERFLOW = ["--jx", "1e308", "--jy", "-1e308", "--jz", "0", "--field", "1"]
 COMMANDS = ("spectrum", "evolve", "scan", "classify", "period", "validate")
 
 CASES = {
@@ -124,6 +126,20 @@ CASES = {
     "validate_negative_seed": ["validate", "--seed", "-1"],
     "out_missing_directory": ["classify", *ISO, "--state", "werner:0.5", "--out", "/nonexistent/x.json"],
     "out_is_a_directory": ["scan", *ISO, "--state", "werner:0.5", "--steps", "3", "--out", "tests/data"],
+    "out_full_device": ["classify", *ISO, "--state", "werner:0.5", "--out", "/dev/full"],
+    # overflowing couplings and a second fault: which of the two a command reports first
+    "overflow_and_unknown_state_kind": ["classify", *OVERFLOW, "--state", "nonsense:1"],
+    "overflow_and_missing_state_file": ["classify", *OVERFLOW, "--state", "file:tests/data/missing.json"],
+    "overflow_and_state_outside_positivity": ["evolve", *OVERFLOW, "--state", "bell_diag:0.9,0.9,0.9", "--t", "1"],
+    "overflow_and_infinite_t": ["evolve", *OVERFLOW, "--state", "werner:0.5", "--t", "inf"],
+    "overflow_and_bad_werner": ["classify", *OVERFLOW, "--state", "werner:abc"],
+    "overflow_and_one_step": ["scan", *OVERFLOW, "--state", "werner:0.5", "--t-max", "1", "--steps", "1"],
+    "overflow_and_too_many_steps": ["scan", *OVERFLOW, "--state", "werner:0.5", "--t-max", "1",
+                                    "--steps", "1000001"],
+    "overflow_and_nan_t": ["spectrum", *OVERFLOW, "--t", "nan"],
+    "overflow_and_p_out_of_range": ["period", *OVERFLOW, "--state", "psi_plus_mix:2"],
+    "overflow_and_out_is_a_directory": ["scan", *OVERFLOW, "--state", "werner:0.5", "--steps", "3",
+                                        "--out", "tests/data"],
 }
 
 
