@@ -42,10 +42,8 @@ from .fidelity import (
 from .linalg import expm, trace_product
 from .model import (
     CouplingParams,
-    DerivedFrequencies,
     Propagator,
     Spectrum,
-    frequencies,
     hamiltonian,
     propagator,
     sinc,
@@ -74,7 +72,6 @@ __all__ = [
     "ConsistencyError",
     "CouplingParams",
     "DensityMatrix",
-    "DerivedFrequencies",
     "DomainError",
     "ErrataFinding",
     "FidelityTrace",
@@ -103,7 +100,6 @@ __all__ = [
     "expm",
     "fidelity",
     "fidelity_bell_diagonal",
-    "frequencies",
     "from_bloch",
     "hamiltonian",
     "overlap_bloch_form",

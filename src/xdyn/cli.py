@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 on validation or domain errors, 2 on usage
-errors (bad flags, malformed state sources, an --out path that cannot be
-opened).  Data goes to --out or stdout, diagnostics to stderr.  Reruns
-with identical flags and seed are byte-identical.
+errors (bad flags, malformed state sources, an --out path or a stdout
+that cannot be written).  Data goes to --out or stdout, diagnostics to
+stderr.  Reruns with identical flags and seed are byte-identical.
 """
 from __future__ import annotations
 
@@ -24,6 +24,10 @@ from .validate import run_validation
 
 DEFAULT_STEPS = 5000
 DEFAULT_T_MAX = 10.0
+
+# Longest state file read, in characters: 1 MiB of ASCII JSON.  A longer
+# one (or an endless one, such as /dev/zero) is refused unread past this.
+STATE_FILE_MAX_CHARS = 1 << 20
 
 # A token argparse should read as a negative number, not as an option.  Its
 # own pattern (Python 3.11) misses exponents, so "--field -1e-10" failed.
@@ -56,11 +60,15 @@ def _parse_real(text: str, where: str) -> float:
 def _load_state_file(path: str) -> states.XState:
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.loads(fh.read())
+            text = fh.read(STATE_FILE_MAX_CHARS + 1)
+        too_long = len(text) > STATE_FILE_MAX_CHARS
+        obj = None if too_long else json.loads(text)
     except OSError as exc:
         raise StateFileError(f"--state file: cannot read {path!r}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
         raise StateFileError(f"--state file {path!r}: invalid JSON: {exc}") from None
+    if too_long:
+        raise StateFileError(f"--state file {path!r}: longer than {STATE_FILE_MAX_CHARS} characters")
     return states.state_from_json(obj)
 
 
@@ -103,8 +111,7 @@ def _params_from(ns: argparse.Namespace) -> model.CouplingParams:
 def _grid_from(ns: argparse.Namespace, p: model.CouplingParams, period: float | None = None) -> TimeGrid:
     t_max = ns.t_max
     if t_max is None:  # three of the given periods, else three pi/eta, or 10 when eta = 0
-        eta = model.frequencies(p).eta
-        t_max = 3.0 * period if period is not None else _period(3, eta) if eta else DEFAULT_T_MAX
+        t_max = 3.0 * period if period is not None else _period(3, p.eta) if p.eta else DEFAULT_T_MAX
         if math.isinf(t_max):  # three given periods; _period refuses its own overflow
             raise RangeError(f"the default --t-max, 3 * {period!r}, overflows a float")
     return TimeGrid(t_max=t_max, steps=ns.steps)
@@ -123,15 +130,14 @@ def _propagator_block(p: model.CouplingParams, t: float, include_phase: bool) ->
 
 
 def _params_block(p: model.CouplingParams) -> dict:
-    f = model.frequencies(p)
     return {
         "jx": p.jx,
         "jy": p.jy,
         "jz": p.jz,
         "field": p.field,
-        "eta": f.eta,
-        "omega": f.omega,
-        "delta": f.delta,
+        "eta": p.eta,
+        "omega": p.omega,
+        "delta": p.delta,
     }
 
 
@@ -341,17 +347,32 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _park_stdout() -> None:
+    # Point stdout at devnull, so the interpreter's exit flush of what it
+    # still holds cannot raise again.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(parts: Iterable[str], out_path: str | None) -> None:
-    """Write each part as it comes to --out, or to stdout when there is none."""
-    if out_path is None:
-        sys.stdout.writelines(parts)
-        return
+    """Write each part as it comes to --out, or to stdout when there is none.
+
+    A path that cannot be opened, or a write that fails (a full disk, say),
+    is an OutputFileError; a closed pipe on stdout is left to main.
+    """
     try:
-        fh = open(out_path, "w", encoding="utf-8", newline="")
+        if out_path is None:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()  # a failed write surfaces here, not at exit
+            return
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(parts)
+    except BrokenPipeError:
+        raise
     except OSError as exc:
+        if out_path is None:
+            _park_stdout()
+            raise OutputFileError(f"cannot write stdout: {exc}") from None
         raise OutputFileError(f"--out: cannot write {out_path!r}: {exc}") from None
-    with fh:
-        fh.writelines(parts)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -374,9 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
-        # downstream consumer (head, etc.) closed the pipe; park stdout on
-        # devnull so the interpreter's exit flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _park_stdout()  # downstream consumer (head, etc.) closed the pipe
     return code
 
 

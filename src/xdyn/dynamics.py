@@ -23,7 +23,7 @@ from .errors import (
     first_bad,
 )
 from .fidelity import BELL_DIAGONAL_TOL, EIG_FLOOR, TRACE_TOL, DensityMatrix, _block_min_eigenvalue, _clamp_fidelity
-from .fidelity import _phases, fidelity_bell_diagonal, is_bell_diagonal
+from .fidelity import fidelity_bell_diagonal, is_bell_diagonal
 
 # A trajectory counts as stationary when the fidelity never drops further
 # than this below 1.
@@ -117,17 +117,17 @@ class StationarityVerdict:
 def _evolve_x(s: states.XState, p: model.CouplingParams, t) -> tuple:
     """rho(t) as six numbers (a, b, c, d, z, w), z = rho[1, 2] and w = rho[0, 3].
 
-    t is a finite float or an array of them, and s and p may be stacks
-    (XState and CouplingParams with array fields); all three broadcast
-    together, so stacks of shape (n, 1) against times of shape (n, k) give
-    k samples of each of n trajectories.  mu+- and delta_entry mix a, d and
-    w, the inner block rotates by omega*t.  Complex products are written out
-    in real arithmetic, in evaluation order, so a float and an array give the
-    same bits.
+    t is a float or an array of them that has passed model._finite_phases,
+    and s and p may be stacks (XState and CouplingParams with array
+    fields); all three broadcast together, so stacks of shape (n, 1)
+    against times of shape (n, k) give k samples of each of n
+    trajectories.  mu+- and delta_entry mix a, d and w, the inner block
+    rotates by omega*t.  Complex products are written out in real
+    arithmetic, in evaluation order, so a float and an array give the same
+    bits.
     """
-    f = model.frequencies(p)
-    c, u, v = model._outer_entries(p, f, t)  # mu+- = c -+ i u, delta_entry = i v
-    cos_o, sin_o = np.cos(f.omega * t), np.sin(f.omega * t)
+    c, u, v = model._outer_entries(p, t)  # mu+- = c -+ i u, delta_entry = i v
+    cos_o, sin_o = np.cos(p.omega * t), np.sin(p.omega * t)
     sin_sq = model._pow2(sin_o)
     mu_prod = c * c + u * u  # mu+ mu-
     de_sq = -(v * v)  # delta_entry^2
@@ -169,7 +169,7 @@ def evolve_closed(s: states.XState, p: model.CouplingParams, t: float) -> Densit
     Stacks of states, couplings and times (one each per element) give a
     stacked DensityMatrix.
     """
-    return DensityMatrix(states._x_matrix(*_evolve_x(s, p, model._finite_time(t, "evolve_closed"))))
+    return DensityMatrix(states._x_matrix(*_evolve_x(s, p, model._finite_phases(p, t, "evolve_closed"))))
 
 
 def evolve_oracle(s: states.XState, p: model.CouplingParams, t: float) -> DensityMatrix:
@@ -180,7 +180,7 @@ def evolve_oracle(s: states.XState, p: model.CouplingParams, t: float) -> Densit
     check it.  Stacks give one stacked expm call and a stacked
     DensityMatrix.
     """
-    t, _ = _phases(p, t, "evolve_oracle")
+    t = model._finite_phases(p, t, "evolve_oracle")
     u = linalg.expm(-1j * np.asarray(t)[..., None, None] * model.hamiltonian(p))
     rho0 = states.xstate_matrix(s)
     return DensityMatrix(u @ rho0 @ linalg.dagger(u))
@@ -195,7 +195,7 @@ def scan(s: states.XState, p: model.CouplingParams, grid: TimeGrid) -> FidelityT
     """
     x0 = (s.a, s.b, s.c, s.d, s.z, s.w)
     v0 = states.to_bloch(s)
-    times = grid.times()
+    times = model._finite_phases(p, grid.times(), "scan")
     xt = _evolve_x(s, p, times)
     try:
         pur, f_num = _checked_fidelity(x0, xt)
@@ -222,7 +222,7 @@ def c_difference(v: states.BlochVector, p: model.CouplingParams, t: float) -> fl
     if not is_bell_diagonal(v):
         raise DomainError("c_difference: defined only for Bell-diagonal states")
     sign = 1.0 if v.c1 - v.c2 >= 0 else -1.0
-    t = model._finite_time(t, "c_difference")
+    t = model._finite_phases(p, t, "c_difference")
     return sign * 4.0 * _evolve_x(states.from_bloch(v), p, t)[5].real
 
 
@@ -235,8 +235,8 @@ def c_difference_predicted(v: states.BlochVector, p: model.CouplingParams, t: fl
     """
     if not is_bell_diagonal(v):
         raise DomainError("c_difference_predicted: defined only for Bell-diagonal states")
-    t, f = _phases(p, t, "c_difference_predicted")
-    pulse = p.field * t * model.sinc(f.eta * t)
+    t = model._finite_phases(p, t, "c_difference_predicted")
+    pulse = p.field * t * model.sinc(p.eta * t)
     return (v.c1 - v.c2) * (1.0 - 2.0 * pulse * pulse)
 
 
@@ -248,8 +248,8 @@ def c_difference_cos2(v: states.BlochVector, p: model.CouplingParams, t: float) 
     """
     if not is_bell_diagonal(v):
         raise DomainError("c_difference_cos2: defined only for Bell-diagonal states")
-    t, f = _phases(p, t, "c_difference_cos2")
-    return (v.c1 - v.c2) * model._pow2(np.cos(f.eta * t))
+    t = model._finite_phases(p, t, "c_difference_cos2")
+    return (v.c1 - v.c2) * model._pow2(np.cos(p.eta * t))
 
 
 def _period(multiple: int, rate: float) -> float:
@@ -260,14 +260,15 @@ def _period(multiple: int, rate: float) -> float:
     return period
 
 
-def _mode_amplitudes(s: states.XState, p: model.CouplingParams, f: model.DerivedFrequencies) -> tuple:
+def _mode_amplitudes(s: states.XState, p: model.CouplingParams) -> tuple:
     """(B_eta, C): the amplitudes in Tr rho(0) rho(t) = A + B_eta cos 2 eta t + C cos 2 Omega t.
 
     B_eta = ((a - d) Delta - 2 B w)^2 / (2 eta^2) and C = (b - c)^2 / 2, with
     A = purity - B_eta - C.  B_eta is 0 at eta = 0, where B = Delta = 0.
     Floats or arrays (stacks).  (2 w) B cannot overflow where 2 B can.
+    Reading p.delta refuses couplings whose frequencies overflow.
     """
-    r = ((s.a - s.d) * f.delta - 2.0 * s.w * p.field) / (f.eta + (f.eta == 0.0))
+    r = ((s.a - s.d) * p.delta - 2.0 * s.w * p.field) / (p.eta + (p.eta == 0.0))
     return 0.5 * r * r, 0.5 * (s.b - s.c) * (s.b - s.c)
 
 
@@ -299,25 +300,24 @@ def classify(s: states.XState, p: model.CouplingParams) -> StationarityVerdict:
     q <= MAX_DENOMINATOR (to COMMENSURATE_TOL), and quasi_periodic
     otherwise.
     """
-    f = model.frequencies(p)  # refuses couplings whose frequencies overflow
-    b_eta, c = _mode_amplitudes(s, p, f)
-    if f.omega == 0.0:
+    b_eta, c = _mode_amplitudes(s, p)
+    if p.omega == 0.0:
         c = 0.0
     budget = STATIONARY_TOL * s.purity
     if 2.0 * (b_eta + c) < budget:
         return StationarityVerdict(kind="stationary", reason=_stationary_reason(s, p))
     live_eta, live_omega = 4.0 * b_eta >= budget, 4.0 * c >= budget
     if not live_omega:
-        return StationarityVerdict(kind="periodic", reason="generic", period=_period(1, f.eta))
+        return StationarityVerdict(kind="periodic", reason="generic", period=_period(1, p.eta))
     if not live_eta:
-        return StationarityVerdict(kind="periodic", reason="generic", period=_period(1, abs(f.omega)))
-    ratio = abs(f.omega) / f.eta
+        return StationarityVerdict(kind="periodic", reason="generic", period=_period(1, abs(p.omega)))
+    ratio = abs(p.omega) / p.eta
     for q in range(1, MAX_DENOMINATOR + 1):
         x = ratio * q
         if math.isfinite(x) and abs(x - round(x)) <= COMMENSURATE_TOL * x:
-            return StationarityVerdict(kind="periodic", reason="generic", period=_period(q, f.eta))
+            return StationarityVerdict(kind="periodic", reason="generic", period=_period(q, p.eta))
     return StationarityVerdict(
-        kind="quasi_periodic", reason="generic", mode_periods=(_period(1, f.eta), _period(1, abs(f.omega)))
+        kind="quasi_periodic", reason="generic", mode_periods=(_period(1, p.eta), _period(1, abs(p.omega)))
     )
 
 

@@ -153,14 +153,6 @@ def is_bell_diagonal(v) -> bool:
     return bool(np.all(np.maximum(abs(v.s1), abs(v.s2)) <= BELL_DIAGONAL_TOL))
 
 
-def _phases(p: model.CouplingParams, t, where: str):
-    # The frequencies, once t and the phases it makes are known to be finite.
-    t = model._finite_time(t, where)
-    f = model.frequencies(p)
-    model._finite_phases(p, f, t)
-    return t, f
-
-
 def fidelity_bell_diagonal(v, p: model.CouplingParams, t):
     """Closed-form fidelity between a Bell-diagonal state and its evolution.
 
@@ -177,8 +169,8 @@ def fidelity_bell_diagonal(v, p: model.CouplingParams, t):
         raise DomainError(
             "fidelity_bell_diagonal: defined only for Bell-diagonal states (s1 = s2 = 0)"
         )
-    t, f = _phases(p, t, "fidelity_bell_diagonal")
-    pulse = p.field * t * model.sinc(f.eta * t)  # B sin(eta t) / eta
+    t = model._finite_phases(p, t, "fidelity_bell_diagonal")
+    pulse = p.field * t * model.sinc(p.eta * t)  # B sin(eta t) / eta
     denom = 1.0 + _pow2(v.c1) + _pow2(v.c2) + _pow2(v.c3)
     return 1.0 - _pow2(v.c1 - v.c2) * pulse * pulse / denom
 
@@ -192,20 +184,20 @@ def overlap_population_form(s, p: model.CouplingParams, t: float, corrected: boo
     Both variants agree with the oracle on Bell-diagonal states.  s, p and
     t may be stacks.
     """
-    t, f = _phases(p, t, "overlap_population_form")
-    s2e = _pow2(t * model.sinc(f.eta * t))  # sin^2(eta t) / eta^2
-    mu_sq = _pow2(np.cos(f.eta * t)) + _pow2(p.field) * s2e  # |mu|^2
-    delta_sq = -_pow2(f.delta) * s2e  # delta_entry^2 is real negative
+    t = model._finite_phases(p, t, "overlap_population_form")
+    s2e = _pow2(t * model.sinc(p.eta * t))  # sin^2(eta t) / eta^2
+    mu_sq = _pow2(np.cos(p.eta * t)) + _pow2(p.field) * s2e  # |mu|^2
+    delta_sq = -_pow2(p.delta) * s2e  # delta_entry^2 is real negative
     value = (
         (_pow2(s.a) + _pow2(s.d)) * mu_sq
-        + _pow2(s.b - s.c) * _pow2(np.cos(f.omega * t))
+        + _pow2(s.b - s.c) * _pow2(np.cos(p.omega * t))
         - 2.0 * s.a * s.d * delta_sq
         + 2.0 * s.b * s.c
         + 2.0 * _pow2(s.z)
         + 2.0 * _pow2(s.w) * (1.0 - 2.0 * _pow2(p.field) * s2e)
     )
     if corrected:
-        value += 4.0 * s.w * (s.a - s.d) * p.field * f.delta * s2e
+        value += 4.0 * s.w * (s.a - s.d) * p.field * p.delta * s2e
     return value
 
 
@@ -217,17 +209,17 @@ def overlap_bloch_form(v, p: model.CouplingParams, t: float, corrected: bool = F
     (c1 - c2)(s1 + s2) B Delta sin^2(eta t) / (2 eta^2).  v, p and t may be
     stacks.
     """
-    t, f = _phases(p, t, "overlap_bloch_form")
-    s2e = _pow2(t * model.sinc(f.eta * t))
-    cos_sq = _pow2(np.cos(f.eta * t))
+    t = model._finite_phases(p, t, "overlap_bloch_form")
+    s2e = _pow2(t * model.sinc(p.eta * t))
+    cos_sq = _pow2(np.cos(p.eta * t))
     value = (
         2.0 * (2.0 + 2.0 * _pow2(v.c3))
-        + 2.0 * _pow2(v.s1 + v.s2) * (cos_sq + (_pow2(p.field) - _pow2(f.delta)) * s2e)
+        + 2.0 * _pow2(v.s1 + v.s2) * (cos_sq + (_pow2(p.field) - _pow2(p.delta)) * s2e)
         - 2.0 * _pow2(v.s1 - v.s2)
-        + 4.0 * _pow2(v.s1 - v.s2) * _pow2(np.cos(f.omega * t))
+        + 4.0 * _pow2(v.s1 - v.s2) * _pow2(np.cos(p.omega * t))
         + 2.0 * _pow2(v.c1 + v.c2)
         + 2.0 * _pow2(v.c1 - v.c2)
     ) / 16.0 - _pow2(v.c1 - v.c2) * _pow2(p.field) * s2e / 4.0
     if corrected:
-        value += (v.c1 - v.c2) * (v.s1 + v.s2) * p.field * f.delta * s2e / 2.0
+        value += (v.c1 - v.c2) * (v.s1 + v.s2) * p.field * p.delta * s2e / 2.0
     return value

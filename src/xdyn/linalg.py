@@ -4,12 +4,10 @@
 referee every closed form for the propagator and the evolved state is
 checked against, so it shares no code with the closed forms it
 arbitrates.  Spectra of matrices that are not X-shaped come from numpy's
-LAPACK ``eigvalsh``, which likewise shares none; the in-house Jacobi
-solver that used to compute them is gone, with the exception it raised
-when its sweeps ran out.  Matrices are numpy arrays of shape (4, 4), or
-stacks of them of shape (..., 4, 4) that ``expm`` and the trace product
-treat one matrix at a time; the dimension is fixed because the physics
-upstream never needs anything else.
+LAPACK ``eigvalsh``, which likewise shares none.  Matrices are numpy
+arrays of shape (4, 4), or stacks of them of shape (..., 4, 4) that
+``expm`` and the trace product treat one matrix at a time; the dimension
+is fixed because the physics upstream never needs anything else.
 """
 from __future__ import annotations
 

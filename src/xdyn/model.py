@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,44 +31,15 @@ def _pow2(x):
 
 
 def sinc(x):
-    """sin(x)/x for a float or an array, 1 below SINC_SERIES_THRESHOLD.  0/1 masks
-    pick the branch (np.where costs microseconds per float) and keep x = 0 out of the divisor.
-    A non-finite x gives NaN, as np.sin does; the evolution routes refuse such a t (_finite_phases)."""
+    """sin(x)/x for a float or an array, 1 below SINC_SERIES_THRESHOLD.
+
+    0/1 masks pick the branch (np.where costs microseconds per float) and
+    keep x = 0 out of the divisor.  A non-finite x gives NaN, as np.sin
+    does; every route that calls it with x = eta t has first passed t
+    through _finite_phases, which refuses such a t.
+    """
     small = abs(x) < SINC_SERIES_THRESHOLD
     return small + (abs(x) >= SINC_SERIES_THRESHOLD) * (np.sin(x) / (x + small))
-
-
-@dataclass(frozen=True)
-class CouplingParams:
-    """Exchange couplings (jx, jy, jz) and the uniform field strength.
-
-    Each field is a finite number, or each a float array of one shape:
-    a stack of couplings, which frequencies, hamiltonian, propagator and
-    the evolution core take element by element.
-    """
-
-    jx: float
-    jy: float
-    jz: float
-    field: float
-
-    def __post_init__(self):
-        for name in ("jx", "jy", "jz", "field"):
-            object.__setattr__(self, name, require_finite_real(getattr(self, name), f"CouplingParams.{name}"))
-
-
-@dataclass(frozen=True)
-class DerivedFrequencies:
-    """The three frequencies every closed form is written in.
-
-    eta   = sqrt(field^2 + delta^2) drives the outer block,
-    omega = (jx + jy)/2 drives the inner block,
-    delta = (jx - jy)/2 measures the exchange anisotropy.
-    """
-
-    eta: float
-    omega: float
-    delta: float
 
 
 # math.hypot applied element by element, returning an object array.
@@ -88,17 +60,46 @@ def _hypot(x, y):
     return np.asarray(_HYPOT_EACH(x, y), dtype=float)
 
 
-def frequencies(p: CouplingParams) -> DerivedFrequencies:
-    """eta, omega and delta of p; RangeError, naming a stack's first bad element, when eta or omega overflows."""
-    with np.errstate(over="ignore"):  # the refusal below, not a numpy warning, reports an overflow
-        delta = (p.jx - p.jy) / 2.0
-        omega = (p.jx + p.jy) / 2.0
-    eta = _hypot(p.field, delta)
-    bad = ~(np.isfinite(eta) & np.isfinite(omega))  # delta is finite where eta is
-    at, eta_bad = first_bad(eta, bad)
-    if at is not None:
-        raise RangeError(f"frequencies overflow a float{at}: eta = {eta_bad}, omega = {first_bad(omega, bad)[1]}")
-    return DerivedFrequencies(eta=eta, omega=omega, delta=delta)
+@dataclass(frozen=True)
+class CouplingParams:
+    """Exchange couplings (jx, jy, jz) and the uniform field strength.
+
+    Each field is a finite number, or each a float array of one shape:
+    a stack of couplings, which hamiltonian, propagator and the evolution
+    core take element by element.
+
+    eta, omega and delta are the three frequencies every closed form is
+    written in: eta = sqrt(field^2 + delta^2) drives the outer block,
+    omega = (jx + jy)/2 the inner block, and delta = (jx - jy)/2 measures
+    the exchange anisotropy.  They are computed together on first use and
+    kept; that first use raises RangeError, naming a stack's first bad
+    element, when eta or omega overflows a float.
+    """
+
+    jx: float
+    jy: float
+    jz: float
+    field: float
+
+    def __post_init__(self):
+        for name in ("jx", "jy", "jz", "field"):
+            object.__setattr__(self, name, require_finite_real(getattr(self, name), f"CouplingParams.{name}"))
+
+    @cached_property
+    def _frequencies(self) -> tuple:
+        with np.errstate(over="ignore"):  # the refusal below, not a numpy warning, reports an overflow
+            delta = (self.jx - self.jy) / 2.0
+            omega = (self.jx + self.jy) / 2.0
+        eta = _hypot(self.field, delta)
+        bad = ~(np.isfinite(eta) & np.isfinite(omega))  # delta is finite where eta is
+        at, eta_bad = first_bad(eta, bad)
+        if at is not None:
+            raise RangeError(f"frequencies overflow a float{at}: eta = {eta_bad}, omega = {first_bad(omega, bad)[1]}")
+        return eta, omega, delta
+
+    eta = property(lambda self: self._frequencies[0])
+    omega = property(lambda self: self._frequencies[1])
+    delta = property(lambda self: self._frequencies[2])
 
 
 def hamiltonian(p: CouplingParams) -> np.ndarray:
@@ -145,21 +146,20 @@ def _outer_eigenvectors(field: float, eta: float, delta: float) -> tuple[np.ndar
 
 def spectrum(p: CouplingParams) -> Spectrum:
     """Eigenvalues and unit eigenvectors of ``hamiltonian(p)`` in closed form."""
-    f = frequencies(p)
     energies = np.array(
         [
-            p.jz / 2.0 + f.eta,
-            p.jz / 2.0 - f.eta,
-            -p.jz / 2.0 + f.omega,
-            -p.jz / 2.0 - f.omega,
+            p.jz / 2.0 + p.eta,
+            p.jz / 2.0 - p.eta,
+            -p.jz / 2.0 + p.omega,
+            -p.jz / 2.0 - p.omega,
         ]
     )
     if not np.isfinite(energies).all():
-        raise RangeError(f"spectrum: an energy overflows a float (jz = {p.jz}, eta = {f.eta}, omega = {f.omega})")
+        raise RangeError(f"spectrum: an energy overflows a float (jz = {p.jz}, eta = {p.eta}, omega = {p.omega})")
     # The outer eigenvectors and norms are ratios of field, eta and delta, whose squares leave the float
     # range for eta outside [2^-500, 2^500]; there all three are scaled by a power of two to eta in [0.5, 1).
-    e = 0 if 2.0**-500 <= f.eta <= 2.0**500 else -math.frexp(f.eta)[1]
-    field, eta, delta = (math.ldexp(x, e) for x in (p.field, f.eta, f.delta))
+    e = 0 if 2.0**-500 <= p.eta <= 2.0**500 else -math.frexp(p.eta)[1]
+    field, eta, delta = (math.ldexp(x, e) for x in (p.field, p.eta, p.delta))
     vecs = np.zeros((4, 4), dtype=complex)
     outer_plus, outer_minus = _outer_eigenvectors(field, eta, delta)
     vecs[0, 0], vecs[3, 0] = outer_plus
@@ -185,18 +185,12 @@ def _outer_norms(field, eta, delta) -> tuple:
     return abs(delta) / _hypot(b_plus, delta), abs(delta) / _hypot(b_minus, delta)
 
 
-def _finite_time(t, where: str):
-    """t, if it is a finite number or an array of them; InvalidInputError otherwise."""
-    if isinstance(t, np.ndarray) and np.isfinite(t).all():
-        return t
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise InvalidInputError(f"{where}: t must be finite, got {t!r}")
-    return t
+def _finite_phases(p: CouplingParams, t, where: str):
+    """t, once it is known to be finite and to keep eta t, |omega| t and jz t finite.
 
-
-def _finite_phases(p: CouplingParams, f: DerivedFrequencies, t) -> None:
-    """RangeError unless eta t, |omega| t and jz t are finite at every time.
-
+    A t that is not a finite number (or an array of them) is refused first,
+    with an InvalidInputError that starts with `where`; then the couplings'
+    own overflow, and then a phase that overflows, each with a RangeError.
     For a single coupling, t is a float or a sorted array, whose largest
     |t| is at one end, so the check costs one scalar however long the
     grid.  All three products are finite exactly when the largest is, and
@@ -204,8 +198,11 @@ def _finite_phases(p: CouplingParams, f: DerivedFrequencies, t) -> None:
     raise.  A stack of couplings checks each rate against its own times
     and names the first element that overflows.
     """
-    if isinstance(f.eta, np.ndarray):
-        rate = np.maximum(np.maximum(f.eta, abs(f.omega)), abs(p.jz))
+    finite = np.isfinite(t).all() if isinstance(t, np.ndarray) else isinstance(t, (int, float)) and math.isfinite(t)
+    if not finite:
+        raise InvalidInputError(f"{where}: t must be finite, got {t!r}")
+    if isinstance(p.eta, np.ndarray):
+        rate = np.maximum(np.maximum(p.eta, abs(p.omega)), abs(p.jz))
         with np.errstate(over="ignore"):
             at, t_bad = first_bad(t, ~np.isfinite(rate * abs(t)))
         if at is not None:
@@ -213,24 +210,23 @@ def _finite_phases(p: CouplingParams, f: DerivedFrequencies, t) -> None:
                 f"t = {t_bad} overflows a phase at stack index {at}: "
                 "eta*t, |omega|*t and jz*t must be finite"
             )
-        return
-    t = max(abs(float(t[0])), abs(float(t[-1]))) if isinstance(t, np.ndarray) else float(t)
-    if not math.isfinite(max(f.eta, abs(f.omega), abs(p.jz)) * t):
+        return t
+    t_abs = max(abs(float(t[0])), abs(float(t[-1]))) if isinstance(t, np.ndarray) else float(t)
+    if not math.isfinite(max(p.eta, abs(p.omega), abs(p.jz)) * t_abs):
         raise RangeError(
-            f"t = {t} overflows a phase: eta*t, |omega|*t and jz*t must be finite "
-            f"(eta = {f.eta}, omega = {f.omega}, jz = {p.jz})"
+            f"t = {t_abs} overflows a phase: eta*t, |omega|*t and jz*t must be finite "
+            f"(eta = {p.eta}, omega = {p.omega}, jz = {p.jz})"
         )
+    return t
 
 
-def _outer_entries(p: CouplingParams, f: DerivedFrequencies, t):
+def _outer_entries(p: CouplingParams, t):
     """cos(eta t), B t sinc(eta t) and Delta t sinc(eta t), for t a float or a
-    sorted array: mu+- = cos -+ i B t sinc and delta_entry = i Delta t sinc.
-    propagator and dynamics._evolve_x both start here, so both refuse a t
-    whose phases overflow before evaluating any of them."""
-    _finite_phases(p, f, t)
-    x = f.eta * t
+    sorted array that has passed _finite_phases: mu+- = cos -+ i B t sinc and
+    delta_entry = i Delta t sinc."""
+    x = p.eta * t
     sinc_x = sinc(x)
-    return np.cos(x), p.field * t * sinc_x, f.delta * t * sinc_x
+    return np.cos(x), p.field * t * sinc_x, p.delta * t * sinc_x
 
 
 @dataclass(frozen=True)
@@ -272,14 +268,13 @@ def propagator(p: CouplingParams, t, include_global_phase: bool = False) -> Prop
         Propagator with unit-modulus block identities intact at eta = 0,
         courtesy of the sinc forms.
     """
-    t = _finite_time(t, "propagator")
-    f = frequencies(p)
-    cos_x, b_t_sinc, delta_t_sinc = _outer_entries(p, f, t)
+    t = _finite_phases(p, t, "propagator")
+    cos_x, b_t_sinc, delta_t_sinc = _outer_entries(p, t)
     mu_plus = _complex(cos_x, b_t_sinc)
     delta_entry = _complex(0.0, delta_t_sinc)
     inner_phase = np.exp(1j * p.jz * t)
-    cos_o = np.cos(f.omega * t)
-    sin_o = np.sin(f.omega * t)
+    cos_o = np.cos(p.omega * t)
+    sin_o = np.sin(p.omega * t)
 
     u = np.zeros(mu_plus.shape + (4, 4), dtype=complex)
     u[..., 0, 0] = mu_plus.conj()

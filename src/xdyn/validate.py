@@ -245,7 +245,7 @@ def _check_conservation(rng, cases: int) -> list[CheckResult]:
         # One scan per row: fields of shape (n, 1) against (n, SCAN_STEPS) times.
         s = _xstate_from(u[:, None, :6])
         p = _params_from(u[:, None, 6:], k[:, None])
-        eta = model.frequencies(p).eta[:, 0]
+        eta = p.eta[:, 0]
         t_max = np.where(eta > 0, 3.0 * math.pi / np.where(eta > 0, eta, 1.0), 10.0)
         xt = _evolve_x(s, p, TimeGrid(t_max=t_max, steps=SCAN_STEPS).times())
         _checked_fidelity((s.a, s.b, s.c, s.d, s.z, s.w), xt)  # scan's own checks
@@ -274,10 +274,10 @@ def _check_bell_fidelity(rng, cases: int) -> CheckResult:
     return worst.result("bell-diagonal closed-form fidelity", 1e-10)
 
 
-def _three_term_overlap(s: states.XState, p: model.CouplingParams, f: model.DerivedFrequencies, t):
+def _three_term_overlap(s: states.XState, p: model.CouplingParams, t):
     # Tr rho(0) rho(t) = A + B cos 2 eta t + C cos 2 Omega t, the law classify reads its verdicts from
-    b_eta, c = _mode_amplitudes(s, p, f)
-    return s.purity - b_eta - c + b_eta * np.cos(2.0 * f.eta * t) + c * np.cos(2.0 * f.omega * t)
+    b_eta, c = _mode_amplitudes(s, p)
+    return s.purity - b_eta - c + b_eta * np.cos(2.0 * p.eta * t) + c * np.cos(2.0 * p.omega * t)
 
 
 def _errata_overlap_aggregates(rng, cases: int) -> tuple[list[ErrataFinding], CheckResult]:
@@ -290,7 +290,6 @@ def _errata_overlap_aggregates(rng, cases: int) -> tuple[list[ErrataFinding], Ch
         p = _params_from(u[:, 6:10], k + 1)  # keep exact-degenerate draws out of the fit
         t = _uniform(u[:, 10], 0.2, 8.0)
         bd = _bell_from(u[:, 11:14])
-        f = model.frequencies(p)
         # both states under one referee call: fields of shape (2, n) against n couplings
         pair = states.XState(*(np.stack([getattr(s, n), getattr(bd, n)]) for n in "abcdzw"))
         oracle, oracle_bd = linalg.trace_product(states.xstate_matrix(pair), evolve_oracle(pair, p, t).matrix).real
@@ -300,11 +299,11 @@ def _errata_overlap_aggregates(rng, cases: int) -> tuple[list[ErrataFinding], Ch
         pop_fixed.add(k, abs(oracle - overlap_population_form(s, p, t, corrected=True)))
         bloch.add(k, abs(oracle - overlap_bloch_form(v, p, t)))
         bloch_fixed.add(k, abs(oracle - overlap_bloch_form(v, p, t, corrected=True)))
-        s2e = model._pow2(t * model.sinc(f.eta * t))
-        fit.add(resid_pop, s.w * (s.a - s.d) * p.field * f.delta * s2e)
+        s2e = model._pow2(t * model.sinc(p.eta * t))
+        fit.add(resid_pop, s.w * (s.a - s.d) * p.field * p.delta * s2e)
         bell.add(k, abs(oracle_bd - overlap_population_form(bd, p, t)))
         bell.add(k, abs(oracle_bd - overlap_bloch_form(states.to_bloch(bd), p, t)))
-        law.add(k, np.max(abs(np.stack([oracle, oracle_bd]) - _three_term_overlap(pair, p, f, t)), axis=0))
+        law.add(k, np.max(abs(np.stack([oracle, oracle_bd]) - _three_term_overlap(pair, p, t)), axis=0))
 
     tol = 1e-10
     pop_finding = ErrataFinding(
@@ -335,9 +334,8 @@ def _errata_inner_sign(rng, cases: int) -> ErrataFinding:
         s = _xstate_from(u[:, :6])
         p = _params_from(u[:, 6:10], k)
         t = _uniform(u[:, 10], 0.2, 8.0)
-        f = model.frequencies(p)
         oracle = evolve_oracle(s, p, t).matrix[:, 1, 2]
-        printed = s.z - 1j * (s.b - s.c) * np.sin(2.0 * f.omega * t) / 2.0
+        printed = s.z - 1j * (s.b - s.c) * np.sin(2.0 * p.omega * t) / 2.0
         closed = evolve_closed(s, p, t).matrix[:, 1, 2]
         printed_miss.add(k, _modulus(printed - oracle))
         closed_miss.add(k, _modulus(closed - oracle))
@@ -398,9 +396,8 @@ def _errata_normalizer(rng, cases: int) -> ErrataFinding:
     undefined = 0
     for k, u in _blocks(rng, max(40, cases // 4), 4):
         p = _params_from(u)
-        f = model.frequencies(p)
-        keep = abs(f.delta) >= 1e-6
-        k, field, eta, delta = k[keep], p.field[keep], f.eta[keep], f.delta[keep]
+        keep = abs(p.delta) >= 1e-6
+        k, field, eta, delta = k[keep], p.field[keep], p.eta[keep], p.delta[keep]
         norms = model._outer_norms(field, eta, delta)
         for norm, branch in zip(norms, (+1.0, -1.0)):
             ratio = (field + branch * eta) / delta

@@ -98,6 +98,7 @@ CASES = {
     "state_file_not_utf8": ["classify", *ISO, "--state", "file:tests/data/utf16_state.json"],
     "state_file_deeply_nested": ["classify", *ISO, "--state", "file:tests/data/deeply_nested_state.json"],
     "state_file_huge_int": ["classify", *ISO, "--state", "file:tests/data/huge_int_state.json"],
+    "state_file_endless": ["classify", *ISO, "--state", "file:/dev/zero"],
     "scan_beyond_max_steps": ["scan", *ISO, "--state", "werner:0.5", "--steps", "1000001"],
     "evolve_overflowing_phase": ["evolve", "--jx=1e10", "--jy=0", "--jz=0", "--field=0",
                                  "--state", "werner:0.5", "--t", "1e300"],

@@ -26,7 +26,6 @@ from xdyn import (
     evolve_oracle,
     expm,
     fidelity,
-    frequencies,
     hamiltonian,
     preset_p_mixture,
     preset_werner,
@@ -132,7 +131,7 @@ def test_c04_bell_diagonal_fidelity_closed_form():
 
 def _stationary_worst(s: XState, p: CouplingParams, draws_label: str) -> float:
     assert classify(s, p).kind == "stationary", draws_label
-    eta = frequencies(p).eta  # the window of three pi/eta that period keeps for a stationary state
+    eta = p.eta  # the window of three pi/eta that period keeps for a stationary state
     t_max = 3.0 * (math.pi / eta) if eta else 10.0
     trace = scan(s, p, TimeGrid(t_max=t_max, steps=150))
     return float(np.max(1.0 - trace.f_numeric))

@@ -11,9 +11,10 @@ import pytest
 
 from xdyn import CouplingParams, TimeGrid, XState, evolve_closed, preset_p_mixture, scan
 from xdyn._text import BLOCK
-from xdyn.cli import _emit, _trace_csv, _trace_json, build_parser, main
+from xdyn.cli import STATE_FILE_MAX_CHARS, _emit, _trace_csv, _trace_json, build_parser, main
 
 ISO = ["--jx", "1", "--jy", "1", "--jz", "1", "--field", "0"]
+ANISO = ["--jx", "1", "--jy", "0.4", "--jz", "0.5", "--field", "0.8"]
 DATA = Path(__file__).resolve().parent / "data"
 TWO_MODE_STATE = DATA / "two_mode_state.json"
 
@@ -461,6 +462,60 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
     assert err.startswith(f"error: --out: cannot write {str(path)!r}: [Errno ")
     assert err.count("\n") == 1
     assert not (tmp_path / "missing").exists()
+
+
+FULL_DEVICE = Path("/dev/full")
+CLASSIFY_WERNER = ["classify", *ISO, "--state", "werner:0.5"]
+SCAN_WERNER = ["scan", *ISO, "--state", "werner:0.5", "--steps", "3000"]
+
+
+@pytest.mark.skipif(not FULL_DEVICE.exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [CLASSIFY_WERNER, SCAN_WERNER], ids=lambda argv: argv[0])
+def test_a_failed_payload_write_is_a_usage_error(capsys, argv):
+    # a device that refuses every write: exit 2 with one error line, no traceback
+    code, out, err = run_cli(capsys, *argv, "--out", str(FULL_DEVICE))
+    assert (code, out) == (2, "")
+    assert err == f"error: --out: cannot write {str(FULL_DEVICE)!r}: [Errno 28] No space left on device\n"
+    with FULL_DEVICE.open("w") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "xdyn.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+def test_state_file_is_read_up_to_its_limit(tmp_path, capsys):
+    # a valid state padded with spaces to the limit is read; one character more is refused
+    # unparsed, with the path named, so an endless source cannot exhaust memory
+    state = json.dumps({"preset": {"name": "werner", "args": [0.8]}})
+    path = tmp_path / "padded.json"
+    path.write_text(state.ljust(STATE_FILE_MAX_CHARS))
+    code, out, _ = run_cli(capsys, *CLASSIFY_WERNER[:-1], f"file:{path}")
+    assert code == 0 and json.loads(out)["kind"] == "stationary"
+    path.write_text(state.ljust(STATE_FILE_MAX_CHARS + 1))
+    code, out, err = run_cli(capsys, *CLASSIFY_WERNER[:-1], f"file:{path}")
+    assert (code, out) == (2, "")
+    assert err == f"error: --state file {str(path)!r}: longer than {STATE_FILE_MAX_CHARS} characters\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", *ANISO, "--state", "phi_plus_mix:0.7", "--t", "1.1", "--phase"],
+        ["spectrum", *ANISO, "--t", "1.3"],
+        ["scan", *ANISO, "--state", "bell_diag:0.3,-0.2,0.1", "--steps", "50"],
+        ["classify", *ANISO, "--state", "file:tests/data/two_mode_state.json"],
+        ["period", *ANISO, "--state", "bell_diag:0.3,-0.2,0.1", "--steps", "300"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_one_request_computes_the_frequencies_once(capsys, monkeypatch, argv):
+    # eta, omega and delta are computed on first use and kept on the couplings,
+    # however many of the request's closed forms read them
+    cached = CouplingParams.__dict__["_frequencies"]
+    compute, calls = cached.func, []
+    monkeypatch.setattr(cached, "func", lambda p: calls.append(p) or compute(p))
+    monkeypatch.chdir(DATA.parent.parent)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(calls) == 1
 
 
 def test_back_to_back_calls_share_no_state(tmp_path, capsys):

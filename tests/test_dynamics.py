@@ -30,7 +30,6 @@ from xdyn import (
     expm,
     fidelity,
     fidelity_bell_diagonal,
-    frequencies,
     from_bloch,
     hamiltonian,
     overlap_bloch_form,
@@ -55,7 +54,7 @@ PI_OVER_SQRT2 = 2.2214414690791831
 
 
 def _pi_over_eta(p: CouplingParams) -> float:
-    return math.pi / frequencies(p).eta
+    return math.pi / p.eta
 
 
 def test_evolve_closed_matches_oracle(rng):
@@ -447,14 +446,13 @@ def _classify_empirically(s, p) -> bool:
     mode, 300 samples per period of the fastest, stationary when 1 - F
     stays below STATIONARY_TOL on the whole grid.
     """
-    f = frequencies(p)
     windows, fastest = [], []
-    if f.eta > 0.0:
-        windows.append(3.0 * math.pi / f.eta)
-        fastest.append(math.pi / f.eta)
-    if f.omega != 0.0:
-        windows.append(6.0 * math.pi / max(abs(f.omega), f.eta))
-        fastest.append(math.pi / abs(f.omega))
+    if p.eta > 0.0:
+        windows.append(3.0 * math.pi / p.eta)
+        fastest.append(math.pi / p.eta)
+    if p.omega != 0.0:
+        windows.append(6.0 * math.pi / max(abs(p.omega), p.eta))
+        fastest.append(math.pi / abs(p.omega))
     if not windows:
         return True  # eta = omega = 0: H is diagonal and every X state commutes with it
     t_max = sum(windows)

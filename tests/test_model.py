@@ -19,7 +19,6 @@ from xdyn import (
     InvalidInputError,
     RangeError,
     expm,
-    frequencies,
     hamiltonian,
     propagator,
     sinc,
@@ -33,10 +32,10 @@ SQRT_17_OVER_2 = 2.0615528128088303  # sqrt(4.25)
 
 
 def test_frequencies_frozen():
-    f = frequencies(CouplingParams(jx=1.0, jy=0.0, jz=0.0, field=2.0))
-    assert f.delta == 0.5
-    assert f.omega == 0.5
-    assert abs(f.eta - SQRT_17_OVER_2) < 1e-15
+    p = CouplingParams(jx=1.0, jy=0.0, jz=0.0, field=2.0)
+    assert p.delta == 0.5
+    assert p.omega == 0.5
+    assert abs(p.eta - SQRT_17_OVER_2) < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -49,16 +48,19 @@ def test_frequencies_frozen():
     ids=["eta", "omega", "hypot"],
 )
 def test_frequencies_refuse_overflow(coupling, names):
-    # a RangeError naming both frequencies, before numpy warns (warnings are errors here)
-    with pytest.raises(RangeError, match=f"overflow a float: {re.escape(names)}$"):
-        frequencies(CouplingParams(*coupling))
+    # a RangeError naming both frequencies, before numpy warns (warnings are errors here),
+    # at the first use of any of the three, and at every use after it
+    p = CouplingParams(*coupling)
+    for name in ("eta", "omega", "delta", "eta"):
+        with pytest.raises(RangeError, match=f"overflow a float: {re.escape(names)}$"):
+            getattr(p, name)
 
 
 def test_stacked_frequencies_name_the_first_overflowing_element():
     jx = np.array([[1.0, 1.0], [1.0, 1e308]])
     p = CouplingParams(jx, -jx, np.zeros((2, 2)), np.ones((2, 2)))
     with pytest.raises(RangeError, match=r"overflow a float\[1, 1\]: eta = inf, omega = 0.0$"):
-        frequencies(p)
+        p.eta
 
 
 def test_spectrum_refuses_an_overflowing_energy():
@@ -169,12 +171,11 @@ def test_spectrum_norms_never_cancel(rng):
     # naive field - eta loses digits when field >> delta; the norms must not
     for field in (37.0, -37.0):
         p = CouplingParams(jx=1e-4, jy=0.0, jz=0.0, field=field)
-        f = frequencies(p)
         n_plus, n_minus = spectrum(p).norms
-        exact_plus = abs(f.delta) / math.hypot(field + f.eta, f.delta)
+        exact_plus = abs(p.delta) / math.hypot(field + p.eta, p.delta)
         # reference via the stable half-angle identity
-        small = f.delta**2 / (f.eta + abs(field))
-        exact_small = abs(f.delta) / math.hypot(small, f.delta)
+        small = p.delta**2 / (p.eta + abs(field))
+        exact_small = abs(p.delta) / math.hypot(small, p.delta)
         got_small = n_minus if field > 0 else n_plus
         got_large = n_plus if field > 0 else n_minus
         assert abs(got_small - exact_small) / exact_small < 1e-13

@@ -24,7 +24,6 @@ from xdyn import (
     evolve_closed,
     evolve_oracle,
     expm,
-    frequencies,
     hamiltonian,
     propagator,
     to_bloch,
@@ -111,11 +110,10 @@ def test_frequencies_and_norms_of_a_stack(rng):
     ps = [random_params(rng) for _ in range(60)]
     ps += [CouplingParams(1.0, 1.0, 0.5, 0.0), CouplingParams(0.3, -0.2, 0.0, -1.5)]
     stack = _stack_params(ps)
-    f = frequencies(stack)
     for name in ("eta", "omega", "delta"):
-        assert _same(getattr(f, name), [getattr(frequencies(p), name) for p in ps])
-    keep = f.delta != 0.0
-    norms = model._outer_norms(stack.field[keep], f.eta[keep], f.delta[keep])
+        assert _same(getattr(stack, name), [getattr(p, name) for p in ps])
+    keep = stack.delta != 0.0
+    norms = model._outer_norms(stack.field[keep], stack.eta[keep], stack.delta[keep])
     single = [model.spectrum(p).norms for p, k in zip(ps, keep) if k]
     assert _same(np.transpose(norms), single)
     assert _same(hamiltonian(stack), [hamiltonian(p) for p in ps])
@@ -183,6 +181,27 @@ def test_stacked_phase_check_names_the_overflowing_element():
         evolve_closed(s, p, np.array([1e300, 1e300]))
     with pytest.raises(RangeError, match=r"stack index \[1\]"):
         evolve_oracle(s, p, np.array([1.0, 1e300]))
+
+
+def test_stacked_frequency_overflow_names_its_first_bad_element_on_every_route():
+    # the overflow is refused where the frequencies are first read, by whichever route
+    # reads them, and again on the next read: a refusal is never cached as a value
+    big = np.array([1.0, 1.0, 1e308, 1e308])
+    zeros = np.zeros(4)
+    s = XState(*(np.full(4, v) for v in (0.25, 0.25, 0.25, 0.25, 0.0, 0.0)))
+    t = np.ones(4)
+    p = CouplingParams(big, -big, zeros, zeros + 1.0)
+    routes = (
+        lambda: p.omega,
+        lambda: propagator(p, t),
+        lambda: evolve_closed(s, p, t),
+        lambda: evolve_oracle(s, p, t),
+        lambda: dynamics._mode_amplitudes(s, p),
+        lambda: p.eta,
+    )
+    for route in routes:
+        with pytest.raises(RangeError, match=r"^frequencies overflow a float\[2\]: eta = inf, omega = 0.0$"):
+            route()
 
 
 def _x_stack(n: int) -> np.ndarray:
