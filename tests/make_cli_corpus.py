@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import traceback
+import warnings
 from pathlib import Path
 
 CORPUS = Path(__file__).resolve().parent / "data" / "cli_corpus"
@@ -28,6 +29,8 @@ TWO_MODE = ["--jx", "1.3", "--jy", "0.4", "--jz", "0.5", "--field", "0.7",
             "--state", "file:tests/data/two_mode_state.json"]
 # couplings whose eta overflows a float, for argv with a second fault
 OVERFLOW = ["--jx", "1e308", "--jy", "-1e308", "--jz", "0", "--field", "1"]
+DBL_MAX_T_MAX = ["--jx", "0.5", "--jy", "0.5", "--jz", "0.5", "--field", "0.5", "--state", "werner:0.3",
+                 "--t-max", "1.7976931348623157e308", "--steps", "4"]
 COMMANDS = ("spectrum", "evolve", "scan", "classify", "period", "validate")
 
 CASES = {
@@ -141,13 +144,23 @@ CASES = {
     "overflow_and_p_out_of_range": ["period", *OVERFLOW, "--state", "psi_plus_mix:2"],
     "overflow_and_out_is_a_directory": ["scan", *OVERFLOW, "--state", "werner:0.5", "--steps", "3",
                                         "--out", "tests/data"],
+    # a horizon of DBL_MAX: the grid's last sample is within rounding of overflow
+    "scan_dbl_max_t_max": ["scan", *DBL_MAX_T_MAX],
+    "period_dbl_max_t_max": ["period", *DBL_MAX_T_MAX],
 }
 
 
 def run_case(main, argv: list[str]) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of one in-process call of main."""
+    """(exit code, stdout, stderr) of one in-process call of main.
+
+    A warning goes to stderr where the interpreter prints it, once per
+    place as in a fresh process, as its category and message only: the
+    file and line it names differ between installs.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, category, *_: err.write(f"...: {category.__name__}: {message}\n")
         try:
             code = main(list(argv))
         except Exception as exc:  # an uncaught error: record what the interpreter would print

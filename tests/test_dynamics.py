@@ -281,6 +281,25 @@ def test_scan_names_unphysical_sample(monkeypatch, k, mix, bad, fault):
     assert fault in str(exc.value)
 
 
+def _with_last_sample_unphysical(core):
+    """_evolve_x with its last sample replaced by diag(1.5, 0, 0, -0.5): trace 1, min eig -0.5."""
+
+    def faulty(s, p, t):
+        xt = tuple(np.array(x) for x in core(s, p, t))
+        for x, value in zip(xt, (1.5, 0.0, 0.0, -0.5, 0j, 0j)):
+            x[..., -1] = value
+        return xt
+
+    return faulty
+
+
+def test_scan_names_its_last_sample_of_1e5(monkeypatch):
+    monkeypatch.setattr(dynamics, "_evolve_x", _with_last_sample_unphysical(dynamics._evolve_x))
+    with pytest.raises(ConsistencyError) as exc:
+        scan(preset_p_mixture("phi_plus", 0.6), CouplingParams(1.0, 0.4, 0.3, 0.8), TimeGrid(10.0, 100_000))
+    assert str(exc.value) == "scan: evolution failed at sample 99999 (t=10.0): unphysical: trace 1.0, min eig -0.5"
+
+
 def test_time_grid_step_limit():
     # checked on construction, before any grid is built
     assert TimeGrid(t_max=1.0, steps=dynamics.MAX_STEPS).steps == dynamics.MAX_STEPS
