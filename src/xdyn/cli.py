@@ -130,15 +130,7 @@ def _propagator_block(p: model.CouplingParams, t: float, include_phase: bool) ->
 
 
 def _params_block(p: model.CouplingParams) -> dict:
-    return {
-        "jx": p.jx,
-        "jy": p.jy,
-        "jz": p.jz,
-        "field": p.field,
-        "eta": p.eta,
-        "omega": p.omega,
-        "delta": p.delta,
-    }
+    return {name: getattr(p, name) for name in ("jx", "jy", "jz", "field", "eta", "omega", "delta")}
 
 
 def _cmd_spectrum(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
@@ -353,11 +345,20 @@ def _park_stdout() -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether path is the file stdout writes to, as /dev/stdout is; False if either has none."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):
+        return False
+
+
 def _emit(parts: Iterable[str], out_path: str | None) -> None:
     """Write each part as it comes to --out, or to stdout when there is none.
 
-    A path that cannot be opened, or a write that fails (a full disk, say),
-    is an OutputFileError; a closed pipe on stdout is left to main.
+    A path that cannot be opened, or a write that fails (a full disk, a pipe
+    whose reader left), is an OutputFileError.  A closed pipe on stdout,
+    /dev/stdout as --out included, is left to main.
     """
     try:
         if out_path is None:
@@ -366,9 +367,9 @@ def _emit(parts: Iterable[str], out_path: str | None) -> None:
             return
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(parts)
-    except BrokenPipeError:
-        raise
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and (out_path is None or _is_stdout(out_path)):
+            raise
         if out_path is None:
             _park_stdout()
             raise OutputFileError(f"cannot write stdout: {exc}") from None

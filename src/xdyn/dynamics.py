@@ -69,7 +69,8 @@ class TimeGrid:
             raise RangeError(f"TimeGrid.steps must be at most {MAX_STEPS}, got {self.steps}")
 
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.steps, axis=-1)
+        with np.errstate(over="ignore"):  # near DBL_MAX the last sample overflows before linspace sets it to t_max
+            return np.linspace(0.0, self.t_max, self.steps, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -153,14 +154,20 @@ def _x_overlap(x, y):
     return a + b + c + d + 2.0 * (z + w)
 
 
-def _checked_fidelity(x0, xt) -> tuple:
-    """Purity of xt and fidelity to x0 (six numbers each) after trace, floor and clamp checks."""
+def _checked_fidelity(x0, xt, where=None) -> tuple:
+    """Purity of xt and fidelity to x0 (six numbers each) after trace, floor and clamp checks.
+
+    Each check is one array pass, and a failure names its first sample as _clamp_fidelity does."""
     a, b, c, d, z, w = xt
+    trace = a + b + c + d
     min_eig = np.minimum(_block_min_eigenvalue(a, d, w), _block_min_eigenvalue(b, c, z))
-    if not np.all((abs(a + b + c + d - 1.0) <= TRACE_TOL) & (min_eig >= EIG_FLOOR)):
-        raise ConsistencyError(f"unphysical: trace {a + b + c + d}, min eig {min_eig}")
+    bad = np.logical_not((abs(trace - 1.0) <= TRACE_TOL) & (min_eig >= EIG_FLOOR))  # NaN fails too
+    at, tr = first_bad(trace, bad)
+    if at is not None:
+        name = "unphysical" + at if where is None else where(bad) + "unphysical"
+        raise ConsistencyError(f"{name}: trace {tr}, min eig {first_bad(min_eig, bad)[1]}")
     pur = _x_overlap(xt, xt)
-    return pur, _clamp_fidelity(_x_overlap(x0, xt) / np.sqrt(_x_overlap(x0, x0) * pur))
+    return pur, _clamp_fidelity(_x_overlap(x0, xt) / np.sqrt(_x_overlap(x0, x0) * pur), where)
 
 
 def evolve_closed(s: states.XState, p: model.CouplingParams, t: float) -> DensityMatrix:
@@ -190,22 +197,19 @@ def scan(s: states.XState, p: model.CouplingParams, grid: TimeGrid) -> FidelityT
     """Fidelity, purity and c1 - c2 = 4 Re w(t) sampled along a time grid.
 
     One array call of the six-number core evaluates the whole grid and is
-    checked once; a failure is re-raised naming the first sample that fails
-    the checks.  f_closed is added for a Bell-diagonal state.
+    checked once; a failure names the first sample that fails the checks,
+    by its index and time.  f_closed is added for a Bell-diagonal state.
     """
     x0 = (s.a, s.b, s.c, s.d, s.z, s.w)
     v0 = states.to_bloch(s)
     times = model._finite_phases(p, grid.times(), "scan")
     xt = _evolve_x(s, p, times)
-    try:
-        pur, f_num = _checked_fidelity(x0, xt)
-    except ConsistencyError:
-        for k, t in enumerate(times.tolist()):  # the same checks per sample name the first failure
-            try:
-                _checked_fidelity(x0, [x[k] for x in xt])
-            except ConsistencyError as exc:
-                raise ConsistencyError(f"scan: evolution failed at sample {k} (t={t}): {exc}") from exc
-        raise
+
+    def where(bad):  # the first failing sample, by index and time
+        at, t = first_bad(times, bad)
+        return f"scan: evolution failed at sample {at.strip('[]')} (t={t}): "
+
+    pur, f_num = _checked_fidelity(x0, xt, where)
     f_clo = fidelity_bell_diagonal(v0, p, times) if is_bell_diagonal(v0) else None
     cdiff = 4.0 * xt[5].real
     return FidelityTrace(times=times, f_numeric=f_num, f_closed=f_clo, purity=pur, c1_minus_c2=cdiff)

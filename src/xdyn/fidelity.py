@@ -137,14 +137,18 @@ def fidelity(r: DensityMatrix, s: DensityMatrix) -> float:
     return _clamp_fidelity(num / np.sqrt(purity(r) * purity(s)))
 
 
-def _clamp_fidelity(value):
+def _clamp_fidelity(value, where=None):
     """Fidelity values, a float or an array, clamped to [0, 1].
 
     The clamp only absorbs round-off: a value outside [0, 1] by more than
-    1e-12 raises ConsistencyError instead of being silently clipped.
+    1e-12 raises ConsistencyError instead of being silently clipped.  The
+    error names the first such value by its index, or opens with where(bad).
     """
-    if np.count_nonzero((value < -CLAMP_TOL) | (value > 1.0 + CLAMP_TOL)):
-        raise ConsistencyError(f"fidelity: value {value} outside [0, 1] beyond round-off")
+    bad = (value < -CLAMP_TOL) | (value > 1.0 + CLAMP_TOL)
+    at, v = first_bad(value, bad)
+    if at is not None:
+        name = "fidelity" + at if where is None else where(bad) + "fidelity"
+        raise ConsistencyError(f"{name}: value {v} outside [0, 1] beyond round-off")
     return np.minimum(np.maximum(value, 0.0), 1.0)
 
 

@@ -25,13 +25,6 @@ from .errors import (
 from .fidelity import EIG_FLOOR, TRACE_TOL, DensityMatrix, _block_min_eigenvalue
 from .model import _pow2
 
-# Two-qubit observables whose expectations define the Bloch coefficients.
-OBS_S1 = linalg.PAULI_ZI
-OBS_S2 = linalg.PAULI_IZ
-OBS_C1 = linalg.PAULI_XX
-OBS_C2 = linalg.PAULI_YY
-OBS_C3 = linalg.PAULI_ZZ
-
 
 @dataclass(frozen=True)
 class XState:
@@ -131,16 +124,17 @@ def to_density(s: XState) -> DensityMatrix:
 def bloch_from_density(m) -> BlochVector:
     """Bloch coefficients of any density matrix, by the trace definition.
 
-    A DensityMatrix was checked when it was built and is read as is; any
+    s1, s2, c1, c2 and c3 are the expectations of ZI, IZ, XX, YY and ZZ.  A
+    DensityMatrix was checked when it was built and is read as is; any
     other input is coerced with as_matrix4.
     """
     mm = m.matrix if isinstance(m, DensityMatrix) else linalg.as_matrix4(m, "bloch_from_density")
     return BlochVector(
-        s1=linalg._trace_of_product(mm, OBS_S1).real,
-        s2=linalg._trace_of_product(mm, OBS_S2).real,
-        c1=linalg._trace_of_product(mm, OBS_C1).real,
-        c2=linalg._trace_of_product(mm, OBS_C2).real,
-        c3=linalg._trace_of_product(mm, OBS_C3).real,
+        s1=linalg._trace_of_product(mm, linalg.PAULI_ZI).real,
+        s2=linalg._trace_of_product(mm, linalg.PAULI_IZ).real,
+        c1=linalg._trace_of_product(mm, linalg.PAULI_XX).real,
+        c2=linalg._trace_of_product(mm, linalg.PAULI_YY).real,
+        c3=linalg._trace_of_product(mm, linalg.PAULI_ZZ).real,
     )
 
 
@@ -251,16 +245,12 @@ def state_from_json(obj) -> XState:
 
     key = present[0]
     value = obj[key]
-    if key == "abcdzw":
-        if not isinstance(value, list) or len(value) != 6:
-            raise StateFileError('field "abcdzw" must be a list of 6 numbers')
-        nums = [_json_number(v, f"abcdzw[{i}]") for i, v in enumerate(value)]
-        return XState(*nums)
-    if key == "bloch":
-        if not isinstance(value, list) or len(value) != 5:
-            raise StateFileError('field "bloch" must be a list of 5 numbers')
-        nums = [_json_number(v, f"bloch[{i}]") for i, v in enumerate(value)]
-        return from_bloch(BlochVector(*nums))
+    if key != "preset":
+        size = 6 if key == "abcdzw" else 5
+        if not isinstance(value, list) or len(value) != size:
+            raise StateFileError(f'field "{key}" must be a list of {size} numbers')
+        nums = [_json_number(v, f"{key}[{i}]") for i, v in enumerate(value)]
+        return XState(*nums) if key == "abcdzw" else from_bloch(BlochVector(*nums))
 
     if not isinstance(value, dict):
         raise StateFileError('field "preset" must be an object with "name" and "args"')

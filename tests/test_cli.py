@@ -1,8 +1,10 @@
 """Command line behavior: output schemas, exit codes, determinism."""
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -175,15 +177,21 @@ def test_scan_at_eta_zero_and_zero_field_is_quiet(capsys, coupling):
 BELL = preset_p_mixture("phi_plus", 0.7)
 GENERIC = XState(a=0.5, b=0.2, c=0.2, d=0.1, z=0.1, w=0.1)
 COUPLING = (1.0, 0.4, 0.5, 0.8)
+# Rows of a block: five CSV cells, or one JSON value, per row.
+ROWS = {_trace_csv: BLOCK // 5, _trace_json: BLOCK}
+CSV_BLOCK = ROWS[_trace_csv]
 # state, couplings, grid points
 RENDER_CASES = {
     "bell": (BELL, COUPLING, 301),
     "generic": (GENERIC, COUPLING, 301),  # f_closed is the empty column
-    "block-1": (BELL, COUPLING, BLOCK - 1),
-    "block": (BELL, COUPLING, BLOCK),
-    "block+1": (BELL, COUPLING, BLOCK + 1),
-    "3block+1": (BELL, COUPLING, 3 * BLOCK + 1),
-    "generic-3block+1": (GENERIC, COUPLING, 3 * BLOCK + 1),
+    "block-1": (BELL, COUPLING, CSV_BLOCK - 1),
+    "block": (BELL, COUPLING, CSV_BLOCK),
+    "block+1": (BELL, COUPLING, CSV_BLOCK + 1),
+    "3block+1": (BELL, COUPLING, 3 * CSV_BLOCK + 1),
+    "generic-3block+1": (GENERIC, COUPLING, 3 * CSV_BLOCK + 1),
+    "json-block-1": (BELL, COUPLING, BLOCK - 1),
+    "json-block": (BELL, COUPLING, BLOCK),
+    "json-block+1": (BELL, COUPLING, BLOCK + 1),
     # maximally mixed: every fidelity cell is 1
     "stationary": (XState(a=0.25, b=0.25, c=0.25, d=0.25, z=0.0, w=0.0), COUPLING, 301),
     # w = 0 and a = d with field and anisotropy of opposite signs: c1_minus_c2 prints -0
@@ -240,8 +248,8 @@ def _emit_peak(render, steps: int, out: Path) -> tuple[int, int]:
 @pytest.mark.parametrize("render", [_trace_csv, _trace_json], ids=["csv", "json"])
 def test_rendering_memory_stays_flat_beyond_one_block(render, tmp_path):
     # rendering and writing hold one block at a time, however long the grid
-    peak_2, _ = _emit_peak(render, 2 * BLOCK, tmp_path / "trace.out")
-    peak_8, _ = _emit_peak(render, 8 * BLOCK, tmp_path / "trace.out")
+    peak_2, _ = _emit_peak(render, 2 * ROWS[render], tmp_path / "trace.out")
+    peak_8, _ = _emit_peak(render, 8 * ROWS[render], tmp_path / "trace.out")
     assert peak_8 <= 1.5 * peak_2
 
 
@@ -250,7 +258,7 @@ def test_written_output_is_never_copied_whole(render, tmp_path):
     # --out gets the text part by part and the whole text never exists: the
     # peak stays well under half its length.  32 blocks, since a CSV block's
     # working arrays alone take about as much as 8 blocks of text.
-    peak, length = _emit_peak(render, 32 * BLOCK, tmp_path / "trace.out")
+    peak, length = _emit_peak(render, 32 * ROWS[render], tmp_path / "trace.out")
     assert peak < 0.5 * length
 
 
@@ -480,6 +488,35 @@ def test_a_failed_payload_write_is_a_usage_error(capsys, argv):
         proc = subprocess.run([sys.executable, "-m", "xdyn.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True)
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_closed_pipe_on_out_is_a_failed_write(tmp_path, capsys):
+    # a FIFO whose reader leaves after 10 bytes: the payload is cut short, so exit 2
+    fifo, got = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+
+    def read_ten():
+        with open(fifo, "rb") as reader:  # blocks until xdyn opens the FIFO for writing
+            got.append(reader.read(10))
+
+    reader = threading.Thread(target=read_ten, daemon=True)
+    reader.start()
+    code, out, err = run_cli(capsys, "scan", *ISO, "--state", "werner:0.5", "--steps", "20000", "--out", str(fifo))
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [b"t,f_numeri"]
+    assert (code, out) == (2, "")
+    assert err == f"error: --out: cannot write {str(fifo)!r}: [Errno 32] Broken pipe\n"
+
+
+def test_out_to_dev_stdout_survives_early_pipe_close():
+    # --out /dev/stdout is stdout: a reader closing it early is no error, as without --out
+    cmd = (
+        f"{sys.executable} -m xdyn.cli scan --jx 1 --jy 0.3 --jz 0.5 --field 0.8 "
+        "--state phi_plus_mix:0.6 --steps 20000 --out /dev/stdout | head -c 10; exit ${PIPESTATUS[0]}"
+    )
+    proc = subprocess.run(cmd, shell=True, executable="/bin/bash", capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "t,f_numeri", "")
 
 
 def test_state_file_is_read_up_to_its_limit(tmp_path, capsys):

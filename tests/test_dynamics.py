@@ -281,23 +281,49 @@ def test_scan_names_unphysical_sample(monkeypatch, k, mix, bad, fault):
     assert fault in str(exc.value)
 
 
-def _with_last_sample_unphysical(core):
-    """_evolve_x with its last sample replaced by diag(1.5, 0, 0, -0.5): trace 1, min eig -0.5."""
+def _with_sample_replaced(core, k, sample=(1.5, 0.0, 0.0, -0.5, 0j, 0j)):
+    """_evolve_x with sample k replaced, by diag(1.5, 0, 0, -0.5) (trace 1, min eig -0.5) unless given."""
 
     def faulty(s, p, t):
         xt = tuple(np.array(x) for x in core(s, p, t))
-        for x, value in zip(xt, (1.5, 0.0, 0.0, -0.5, 0j, 0j)):
-            x[..., -1] = value
+        for x, value in zip(xt, sample):
+            x[k] = value
         return xt
 
     return faulty
 
 
 def test_scan_names_its_last_sample_of_1e5(monkeypatch):
-    monkeypatch.setattr(dynamics, "_evolve_x", _with_last_sample_unphysical(dynamics._evolve_x))
+    # one array pass judges the grid and names the sample: no per-sample re-run
+    checked, calls = dynamics._checked_fidelity, []
+    monkeypatch.setattr(dynamics, "_checked_fidelity", lambda *args: calls.append(1) or checked(*args))
+    monkeypatch.setattr(dynamics, "_evolve_x", _with_sample_replaced(dynamics._evolve_x, -1))
     with pytest.raises(ConsistencyError) as exc:
         scan(preset_p_mixture("phi_plus", 0.6), CouplingParams(1.0, 0.4, 0.3, 0.8), TimeGrid(10.0, 100_000))
     assert str(exc.value) == "scan: evolution failed at sample 99999 (t=10.0): unphysical: trace 1.0, min eig -0.5"
+    assert len(calls) == 1
+
+
+def test_scan_conservation_names_the_stack_index(monkeypatch):
+    from xdyn import validate
+
+    monkeypatch.setattr(validate, "_evolve_x", _with_sample_replaced(dynamics._evolve_x, (2, 17)))
+    with pytest.raises(ConsistencyError) as exc:
+        validate._check_conservation(np.random.default_rng(0), 100)  # one block of (4, 40) samples
+    assert str(exc.value) == "unphysical[2, 17]: trace 1.0, min eig -0.5"
+
+
+def test_clamp_names_its_first_bad_value():
+    # a pure Bell state against an outer block at -5e-11: the floor passes, the clamp fails
+    s = preset_p_mixture("phi_plus", 1.0)
+    p = CouplingParams(np.full((3, 1), 1.0), 0.4, 0.3, 0.8)
+    outside = (0.5, 0.0, 0.0, 0.5, 0j, -0.5 - 5e-11 + 0j)
+    evolve = _with_sample_replaced(dynamics._evolve_x, (1, 6), outside)
+    xt = evolve(s, p, TimeGrid(2.0, 11).times() + np.zeros((3, 1)))
+    with pytest.raises(ConsistencyError, match=r"^fidelity\[1, 6\]: value -5\.0\d*e-11 outside \[0, 1\] beyond"):
+        dynamics._checked_fidelity((s.a, s.b, s.c, s.d, s.z, s.w), xt)
+    with pytest.raises(ConsistencyError, match=r"^fidelity: value -5e-11 outside \[0, 1\] beyond round-off$"):
+        dynamics._clamp_fidelity(-5e-11)
 
 
 def test_time_grid_step_limit():
