@@ -250,6 +250,18 @@ def test_scan_matches_matrix_route(rng):
     assert worst < 1e-14
 
 
+def _with_sample_replaced(core, k, sample=(1.5, 0.0, 0.0, -0.5, 0j, 0j)):
+    """_evolve_x with sample k replaced, by diag(1.5, 0, 0, -0.5) (trace 1, min eig -0.5) unless given."""
+
+    def faulty(s, p, t):
+        xt = tuple(np.array(x) for x in core(s, p, t))
+        for x, value in zip(xt, sample):
+            x[k] = value
+        return xt
+
+    return faulty
+
+
 @pytest.mark.parametrize("k", [0, 4, 10])
 @pytest.mark.parametrize(
     "mix, bad, fault",
@@ -267,30 +279,10 @@ def test_scan_matches_matrix_route(rng):
 def test_scan_names_unphysical_sample(monkeypatch, k, mix, bad, fault):
     grid = TimeGrid(t_max=2.0, steps=11)
     t_bad = grid.times()[k]
-    core = dynamics._evolve_x
-
-    def faulty(s, p, t):  # the array kernel's output with sample k replaced
-        xt = tuple(np.array(x) for x in core(s, p, t))
-        for x, value in zip(xt, bad):
-            x[k] = value
-        return xt
-
-    monkeypatch.setattr(dynamics, "_evolve_x", faulty)
+    monkeypatch.setattr(dynamics, "_evolve_x", _with_sample_replaced(dynamics._evolve_x, k, bad))
     with pytest.raises(ConsistencyError, match=rf"at sample {k} \(t={t_bad}\)") as exc:
         scan(preset_p_mixture("phi_plus", mix), CouplingParams(1.0, 0.4, 0.3, 0.8), grid)
     assert fault in str(exc.value)
-
-
-def _with_sample_replaced(core, k, sample=(1.5, 0.0, 0.0, -0.5, 0j, 0j)):
-    """_evolve_x with sample k replaced, by diag(1.5, 0, 0, -0.5) (trace 1, min eig -0.5) unless given."""
-
-    def faulty(s, p, t):
-        xt = tuple(np.array(x) for x in core(s, p, t))
-        for x, value in zip(xt, sample):
-            x[k] = value
-        return xt
-
-    return faulty
 
 
 def test_scan_names_its_last_sample_of_1e5(monkeypatch):
