@@ -10,7 +10,6 @@ from .dynamics import (
     FidelityTrace,
     StationarityVerdict,
     TimeGrid,
-    c_difference,
     c_difference_cos2,
     c_difference_predicted,
     classify,
@@ -90,7 +89,6 @@ __all__ = [
     "XState",
     "XdynError",
     "bloch_from_density",
-    "c_difference",
     "c_difference_cos2",
     "c_difference_predicted",
     "classify",

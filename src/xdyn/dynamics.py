@@ -215,21 +215,6 @@ def scan(s: states.XState, p: model.CouplingParams, grid: TimeGrid) -> FidelityT
     return FidelityTrace(times=times, f_numeric=f_num, f_closed=f_clo, purity=pur, c1_minus_c2=cdiff)
 
 
-def c_difference(v: states.BlochVector, p: model.CouplingParams, t: float) -> float:
-    """c1(t) - c2(t) = 4 Re w(t) for a Bell-diagonal state.
-
-    The state is evolved in canonical (non-negative coherence) form and the
-    initial sign of c1 - c2 is restored afterwards; on the Bell-diagonal
-    family the two signed trajectories are exact mirror images, so this is
-    lossless.
-    """
-    if not is_bell_diagonal(v):
-        raise DomainError("c_difference: defined only for Bell-diagonal states")
-    sign = 1.0 if v.c1 - v.c2 >= 0 else -1.0
-    t = model._finite_phases(p, t, "c_difference")
-    return sign * 4.0 * _evolve_x(states.from_bloch(v), p, t)[5].real
-
-
 def c_difference_predicted(v: states.BlochVector, p: model.CouplingParams, t: float) -> float:
     """Candidate law (c1(0) - c2(0)) (1 - 2 B^2 sin^2(eta t) / eta^2).
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, model
-from .errors import ConsistencyError, DomainError, first_bad
+from .errors import ConsistencyError, DomainError, InvalidInputError, first_bad
 from .model import _pow2
 
 HERMITICITY_TOL = 1e-12
@@ -69,10 +69,9 @@ def _x_min_eigenvalue(m: np.ndarray):
     """Smallest eigenvalue of an X-shaped 4x4 matrix, or of each in a stack, in closed form.
 
     The spectrum is that of the blocks {0, 3} and {1, 2}.  Each block is
-    read from the Hermitian part (m + m^dagger) / 2, as the general route
-    reads the whole matrix.  One matrix is read as Python numbers, a stack
-    as arrays of entries; products of huge entries overflow to inf either
-    way, which the block rule is written to survive.
+    read from the Hermitian part (m + m^dagger) / 2.  One matrix is read as
+    Python numbers, a stack as arrays of entries; products of huge entries
+    overflow to inf either way, which the block rule is written to survive.
     """
     e = m.tolist() if m.ndim == 2 else np.moveaxis(m, (-2, -1), (0, 1))
     with np.errstate(over="ignore"):
@@ -85,25 +84,30 @@ def _x_min_eigenvalue(m: np.ndarray):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A 4x4 matrix checked to be a physical state on construction.
+    """An X-shaped 4x4 matrix checked to be a physical state on construction.
 
-    Hermiticity within 1e-12 (max-norm), unit trace within 1e-12, minimum
-    eigenvalue above -1e-10.  The minimum eigenvalue of an X-shaped matrix
-    (all eight off-X entries exactly zero, as the dynamics keeps them) comes
-    from its two 2x2 blocks in closed form; any other matrix goes through
-    numpy's LAPACK eigvalsh on its Hermitian part, which shares no code
-    with the block rule.  Violations raise ConsistencyError, since every
-    code path that builds one is supposed to produce a physical state.
+    A matrix with a nonzero entry off the diagonal and the antidiagonal is
+    refused with InvalidInputError: the dynamics keeps all eight such
+    entries exactly zero.  Then Hermiticity within 1e-12 (max-norm), unit
+    trace within 1e-12, and a minimum eigenvalue above -1e-10, read from
+    the two 2x2 blocks in closed form.  Those violations raise
+    ConsistencyError, since every code path that builds one is supposed to
+    produce a physical state.
 
     A (..., 4, 4) stack holds one state per matrix: each is checked as a
-    single one is, by the same fork, and an error names the first that
-    fails.
+    single one is, and an error names the first that fails.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = linalg.as_matrix4(self.matrix, "DensityMatrix")
+        off_x = m.reshape(m.shape[:-2] + (16,)).take(_OFF_X, axis=-1)
+        at, _ = first_bad(0.0, np.any(off_x != 0.0, axis=-1))
+        if at is not None:
+            raise InvalidInputError(
+                f"DensityMatrix{at}: not X-shaped, an entry off the diagonal and the antidiagonal is nonzero"
+            )
         h = m - linalg.dagger(m)
         at, _ = first_bad(0.0, linalg.max_abs_each(h) > HERMITICITY_TOL)
         if at is not None:
@@ -112,11 +116,7 @@ class DensityMatrix:
         at, bad = first_bad(trace, abs(trace - 1.0) > TRACE_TOL)
         if at is not None:
             raise ConsistencyError(f"DensityMatrix{at}: trace must be 1, got {bad}")
-        min_eig = np.array(_x_min_eigenvalue(m))
-        general = np.count_nonzero(m.reshape(m.shape[:-2] + (16,)).take(_OFF_X, axis=-1), axis=-1) > 0
-        if general.any():
-            g = m[general]
-            min_eig[general] = np.linalg.eigvalsh((g + linalg.dagger(g)) / 2.0)[:, 0]
+        min_eig = _x_min_eigenvalue(m)
         at, bad = first_bad(min_eig, np.logical_not(min_eig >= EIG_FLOOR))  # NaN fails too
         if at is not None:
             raise ConsistencyError(f"DensityMatrix{at}: min eigenvalue {bad} below {EIG_FLOOR}")

@@ -3,11 +3,10 @@
 ``expm`` (scaling and squaring with a truncated Taylor series) is the
 referee every closed form for the propagator and the evolved state is
 checked against, so it shares no code with the closed forms it
-arbitrates.  Spectra of matrices that are not X-shaped come from numpy's
-LAPACK ``eigvalsh``, which likewise shares none.  Matrices are numpy
-arrays of shape (4, 4), or stacks of them of shape (..., 4, 4) that
-``expm`` and the trace product treat one matrix at a time; the dimension
-is fixed because the physics upstream never needs anything else.
+arbitrates.  Matrices are numpy arrays of shape (4, 4), or stacks of
+them of shape (..., 4, 4) that ``expm`` and the trace product treat one
+matrix at a time; the dimension is fixed because the physics upstream
+never needs anything else.
 """
 from __future__ import annotations
 

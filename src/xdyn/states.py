@@ -95,10 +95,6 @@ class BlochVector:
             if at is not None:
                 raise RangeError(f"BlochVector.{name}{at} must lie in [-1, 1], got {bad!r}")
 
-    @property
-    def purity(self) -> float:
-        return (1.0 + self.s1**2 + self.s2**2 + self.c1**2 + self.c2**2 + self.c3**2) / 4.0
-
 
 def xstate_matrix(s: XState) -> np.ndarray:
     """The raw 4x4 matrix of an XState, (..., 4, 4) for a stack (no validation wrapper)."""

@@ -20,7 +20,6 @@ from xdyn import (
     TimeGrid,
     XState,
     bloch_from_density,
-    c_difference,
     c_difference_cos2,
     c_difference_predicted,
     classify,
@@ -116,8 +115,6 @@ def test_one_point_calls_reject_non_finite_time(rng):
     s, p = random_xstate(rng), random_params(rng)
     v = to_bloch(random_bell_diagonal(rng))
     for t in (math.inf, -math.inf, math.nan):
-        with pytest.raises(InvalidInputError, match="c_difference: t must be finite"):
-            c_difference(v, p, t)
         with pytest.raises(InvalidInputError, match="c_difference_predicted: t must be finite"):
             c_difference_predicted(v, p, t)
         for times in (t, np.array([0.0, t])):
@@ -338,32 +335,28 @@ def test_scan_kernel_matches_one_point_calls(rng):
 
 
 def test_c_difference_matches_oracle(rng):
+    # scan's c1_minus_c2 column, 4 Re w(t), against the oracle's Bloch
+    # coefficients and the confirmed linear-in-sin^2 law
     worst = 0.0
-    for _ in range(60):
+    for _ in range(20):
         s = random_bell_diagonal(rng)
         v = to_bloch(s)
         p = random_params(rng)
-        t = float(rng.uniform(0.0, 8.0))
-        got = c_difference(v, p, t)
-        ref = bloch_from_density(evolve_oracle(s, p, t).matrix)
-        assert abs(got - (ref.c1 - ref.c2)) < 1e-12
-        worst = max(worst, abs(got - c_difference_predicted(v, p, t)))
+        trace = scan(s, p, TimeGrid(t_max=float(rng.uniform(0.0, 8.0)), steps=3))
+        for t, got in zip(trace.times.tolist(), trace.c1_minus_c2.tolist()):
+            ref = bloch_from_density(evolve_oracle(s, p, t).matrix)
+            assert abs(got - (ref.c1 - ref.c2)) < 1e-12
+            worst = max(worst, abs(got - c_difference_predicted(v, p, t)))
     assert worst < 1e-12
-
-
-def test_c_difference_restores_sign():
-    v = BlochVector(s1=0.0, s2=0.0, c1=-0.7, c2=0.7, c3=0.7)
-    p = CouplingParams(jx=1.0, jy=1.0, jz=0.5, field=1.0)
-    assert abs(c_difference(v, p, 0.0) + 1.4) < 1e-14
-    for t in (0.3, 1.1, 2.9):
-        assert abs(c_difference(v, p, t) - c_difference_predicted(v, p, t)) < 1e-13
 
 
 def test_c_difference_crosses_plane_when_field_dominates():
     # B^2 > Delta^2: the factor 1 - 2 B^2 sin^2/eta^2 turns negative
     v = BlochVector(s1=0.0, s2=0.0, c1=0.7, c2=-0.7, c3=0.7)
     p = CouplingParams(jx=1.0, jy=1.0, jz=0.5, field=1.0)
-    assert c_difference(v, p, math.pi / 2.0) < -1.39
+    trace = scan(from_bloch(v), p, TimeGrid(t_max=math.pi, steps=3))
+    assert trace.times[1] == math.pi / 2.0
+    assert trace.c1_minus_c2[1] < -1.39
     # the quoted cos^2 law cannot go negative and misses this entirely
     assert c_difference_cos2(v, p, math.pi / 2.0) == pytest.approx(0.0, abs=1e-15)
 
@@ -371,14 +364,14 @@ def test_c_difference_crosses_plane_when_field_dominates():
 def test_c_difference_no_crossing_when_anisotropy_dominates():
     v = BlochVector(s1=0.0, s2=0.0, c1=0.7, c2=-0.7, c3=0.7)
     p = CouplingParams(jx=2.3, jy=0.3, jz=0.5, field=0.3)  # delta = 1, B = 0.3
-    lows = [c_difference(v, p, t) for t in np.linspace(0.0, 12.0, 241)]
-    assert min(lows) > 0.0
+    trace = scan(from_bloch(v), p, TimeGrid(t_max=12.0, steps=241))
+    assert trace.c1_minus_c2.min() > 0.0
 
 
 def test_c_difference_rejects_polarized():
     v = BlochVector(s1=0.1, s2=0.0, c1=0.2, c2=0.1, c3=0.0)
     p = CouplingParams(jx=1.0, jy=0.0, jz=0.0, field=1.0)
-    for fn in (c_difference, c_difference_predicted, c_difference_cos2):
+    for fn in (c_difference_predicted, c_difference_cos2):
         with pytest.raises(DomainError):
             fn(v, p, 1.0)
 

@@ -11,6 +11,7 @@ from xdyn import (
     CouplingParams,
     DensityMatrix,
     DomainError,
+    InvalidInputError,
     evolve_closed,
     evolve_oracle,
     expm,
@@ -29,6 +30,7 @@ from xdyn import (
 )
 from xdyn.fidelity import _x_min_eigenvalue
 from xdyn.states import BlochVector
+from xdyn.validate import _xstate_from
 
 from conftest import random_bell_diagonal, random_params, random_xstate
 
@@ -42,7 +44,7 @@ def test_density_matrix_accepts_mixed_state():
 
 def test_density_matrix_rejects_non_hermitian():
     m = np.eye(4, dtype=complex) / 4.0
-    m[0, 1] = 1e-3
+    m[0, 3] = 1e-3
     with pytest.raises(ConsistencyError, match="Hermitian"):
         DensityMatrix(m)
 
@@ -61,23 +63,6 @@ def test_density_matrix_rejects_negative_eigenvalue():
 def test_density_matrix_tolerates_floor_level_negativity():
     m = np.diag([1.0 + 1e-11, -1e-11, 0.0, 0.0]).astype(complex)
     assert DensityMatrix(m).matrix[1, 1].real == -1e-11
-
-
-def _count_eigvalsh_calls(monkeypatch) -> list:
-    """Record every call of np.linalg.eigvalsh, DensityMatrix's non-X route.
-
-    The tests below keep the "jacobi" in their names from the in-house
-    solver that route used to be.
-    """
-    calls = []
-    solver = np.linalg.eigvalsh
-
-    def counting(m, *args, **kwargs):
-        calls.append(m)
-        return solver(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    return calls
 
 
 def _random_x_matrix(rng) -> np.ndarray:
@@ -109,13 +94,30 @@ def test_evolved_states_are_exactly_x_shaped(rng):
             assert all(m[i, j] == 0.0 for i, j in OFF_X)
 
 
-def test_density_matrix_x_route_skips_jacobi(monkeypatch, rng):
-    calls = _count_eigvalsh_calls(monkeypatch)
+def test_referee_stays_exactly_x_shaped_over_the_whole_domain():
+    # DensityMatrix refuses a matrix with any nonzero entry off the X, so the
+    # referee's expm(-iHt) and U rho0 U^dagger must keep all eight exactly 0:
+    # |J| and |B| log-uniform over 1e-6..1e6 of either sign, one draw in four
+    # with Jx = Jy and one in four at zero field, and |H| t up to 1e9
+    r = np.random.default_rng(2205)
+    n = 8192
+    jx, jy, jz, b = r.choice([-1.0, 1.0], (4, n)) * 10.0 ** r.uniform(-6.0, 6.0, (4, n))
+    jy[::4] = jx[::4]
+    b[1::4] = 0.0
+    p = CouplingParams(jx=jx, jy=jy, jz=jz, field=b)
+    h = hamiltonian(p)
+    t = 10.0 ** r.uniform(-6.0, 9.0, n) / np.linalg.norm(h, axis=(-2, -1))
+    u = expm(-1j * t[:, None, None] * h)
+    rho = u @ xstate_matrix(_xstate_from(r.random((n, 6)))) @ u.conj().swapaxes(-1, -2)
+    for m in (u, rho):
+        assert all(np.count_nonzero(m[:, i, j]) == 0 for i, j in OFF_X)
+
+
+def test_density_matrix_x_route_skips_jacobi(rng):
     s, p = random_xstate(rng), random_params(rng)
-    DensityMatrix(xstate_matrix(s))
-    evolve_closed(s, p, 1.3)
-    evolve_oracle(s, p, 1.3)
-    assert calls == []
+    assert np.array_equal(DensityMatrix(xstate_matrix(s)).matrix, xstate_matrix(s))
+    closed, oracle = evolve_closed(s, p, 1.3).matrix, evolve_oracle(s, p, 1.3).matrix
+    assert np.max(np.abs(closed - oracle)) < 1e-13
 
 
 def _outer_block_state(eps: float) -> np.ndarray:
@@ -126,12 +128,10 @@ def _outer_block_state(eps: float) -> np.ndarray:
     return m
 
 
-def test_density_matrix_x_route_floor(monkeypatch):
-    calls = _count_eigvalsh_calls(monkeypatch)
+def test_density_matrix_x_route_floor():
     DensityMatrix(_outer_block_state(1e-11))
     with pytest.raises(ConsistencyError, match="min eigenvalue"):
         DensityMatrix(_outer_block_state(1e-9))
-    assert calls == []
 
 
 def _plus_zero_projectors():
@@ -140,19 +140,27 @@ def _plus_zero_projectors():
     return np.outer(plus, plus).astype(complex), np.outer(minus, minus).astype(complex)
 
 
-def test_density_matrix_non_x_state_goes_through_jacobi(monkeypatch):
-    calls = _count_eigvalsh_calls(monkeypatch)
+def test_density_matrix_refuses_non_x_state():
+    # |+><+| (x) |0><0| is physical but not X-shaped
     plus, _ = _plus_zero_projectors()
-    assert purity(DensityMatrix(plus)) == pytest.approx(1.0, abs=1e-15)
-    assert len(calls) == 1
+    with pytest.raises(InvalidInputError, match="^DensityMatrix: not X-shaped"):
+        DensityMatrix(plus)
+    for i, j in OFF_X:
+        m = np.eye(4, dtype=complex) / 4.0
+        m[i, j] = 5e-324
+        with pytest.raises(InvalidInputError, match="not X-shaped"):
+            DensityMatrix(m)
 
 
-def test_density_matrix_non_x_negative_eigenvalue_rejected_by_jacobi(monkeypatch):
-    calls = _count_eigvalsh_calls(monkeypatch)
+def test_density_matrix_refuses_non_x_before_its_other_checks():
+    # unphysical and non-Hermitian as well: the shape is named first
     plus, minus = _plus_zero_projectors()
-    with pytest.raises(ConsistencyError, match="min eigenvalue"):
+    with pytest.raises(InvalidInputError, match="not X-shaped"):
         DensityMatrix(1.001 * plus - 0.001 * minus)
-    assert len(calls) == 1
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1] = 1e-3
+    with pytest.raises(InvalidInputError, match="not X-shaped"):
+        DensityMatrix(m)
 
 
 def test_fidelity_frozen_values():

@@ -3,10 +3,7 @@
 expm arbitrates every closed form for the propagator and the evolved
 state, so it is itself checked three ways: frozen exact cases, a
 third-party reference (scipy.linalg.expm), and algebraic properties on
-seeded random draws.  Spectra of matrices that are not X-shaped come from
-numpy's LAPACK eigvalsh, which shares no code with the closed forms; the
-in-house Jacobi solver, its sweep-cap exception and the tests that
-checked it against eigvalsh are gone.
+seeded random draws.
 """
 import math
 

