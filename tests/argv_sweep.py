@@ -2,14 +2,14 @@
 
 Run from anywhere, with the package on the import path:
 
-    PYTHONPATH=src python3 -W error tests/argv_sweep.py --count 20000 --seed 1
+    PYTHONPATH=src python3 -W error tests/argv_sweep.py
 
 Each argv names one of the six commands (now and then a bogus one) with
 values drawn from ordinary numbers, log-uniform magnitudes of either sign
 from 1e-320 to 1e308, the tokens nan, inf, -0, 5e-324, DBL_MAX and 1e999,
 and garbage (two argv in five are tame: every required option, ordinary
-values); every --state kind and every entry of tests/data is drawn, and
-one argv in five names an --out.  Each runs once through
+values); every --state kind is drawn, a file: state names the entries of
+tests/data and a missing file in turn, and one argv in five names an --out.  Each runs once through
 ``xdyn.cli.main`` in this process, from the root of the repository, with
 warnings raised as errors, and must:
 
@@ -19,9 +19,9 @@ warnings raised as errors, and must:
 
 Every violation is printed with its argv; the exit code is 1 if there is any.
 """
-import argparse
 import contextlib
 import io
+import itertools
 import os
 import random
 import re
@@ -29,6 +29,7 @@ import shlex
 import sys
 import tempfile
 import warnings
+from collections.abc import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,6 +56,8 @@ COMMANDS = ("spectrum", "evolve", "scan", "classify", "period", "validate")
 # A whole word nan or inf, as CSV ("%.17g") or JSON (NaN, Infinity) would print it.
 NAN_OR_INF = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
+COUNT, SEED = 20000, 1  # run as a script; tier-1 sweeps fewer argv of another seed
+
 
 def _number(r: random.Random, tame: bool) -> str:
     u = r.random()
@@ -74,18 +77,18 @@ def _unit(r: random.Random, tame: bool) -> str:
     return repr(round(r.uniform(-1.0, 1.0), 3)) if tame or r.random() < 0.7 else _number(r, tame)
 
 
-def _state(r: random.Random, tame: bool) -> str:
+def _state(r: random.Random, tame: bool, sources: Iterator[str]) -> str:
     if not tame and r.random() < 0.05:
         return r.choice(("nonsense:1", "werner", "", "bell_diag:0.1,0.2"))
     kind = r.choice(STATE_KINDS)
     if kind == "file":
-        return "file:" + r.choice(STATE_SOURCES)
+        return "file:" + next(sources)
     if kind == "bell_diag":
         return "bell_diag:" + ",".join(_unit(r, tame) for _ in range(3))
     return f"{kind}:{_unit(r, tame)}"
 
 
-def _options(r: random.Random, command: str, tame: bool) -> list[tuple[str, str | None]]:
+def _options(r: random.Random, command: str, tame: bool, sources: Iterator[str]) -> list[tuple[str, str | None]]:
     """(flag, value or None for a switch) for one command's options.
 
     A tame draw gives every required option an ordinary value, so that
@@ -95,7 +98,7 @@ def _options(r: random.Random, command: str, tame: bool) -> list[tuple[str, str 
     keep = 1.0 if tame else 0.95
     opts = [] if command == "validate" else [(flag, _number(r, tame)) for flag in COUPLING if r.random() < keep]
     if command in ("evolve", "scan", "classify", "period") and r.random() < keep:
-        opts.append(("--state", _state(r, tame)))
+        opts.append(("--state", _state(r, tame, sources)))
     if command in ("spectrum", "evolve") and r.random() < (0.5 if command == "spectrum" else keep):
         opts.append(("--t", _number(r, tame)))
     if command in ("spectrum", "evolve") and r.random() < 0.3:
@@ -115,11 +118,15 @@ def _options(r: random.Random, command: str, tame: bool) -> list[tuple[str, str 
     return opts
 
 
-def draw(r: random.Random, out_path: str) -> tuple[list[str], str | None]:
-    """One argv, and the --out file it names (None when it names none)."""
+def draw(r: random.Random, sources: Iterator[str], out_path: str) -> tuple[list[str], str | None]:
+    """One argv, and the --out file it names (None when it names none).
+
+    A file: state takes the next of sources, so that every source is drawn
+    however the seed falls.
+    """
     command = r.choice(COMMANDS) if r.random() < 0.97 else r.choice(("bogus", "-h", "--help"))
     tame = r.random() < 0.4
-    opts = _options(r, command, tame)
+    opts = _options(r, command, tame, sources)
     out = None
     if r.random() < 0.2:
         out = out_path if r.random() < 0.9 else r.choice(("/nonexistent/out.txt", str(DATA)))
@@ -178,24 +185,21 @@ def sweep(count: int, seed: int, workdir: str) -> list[str]:
     from xdyn.cli import main
 
     r = random.Random(seed)
+    sources = itertools.cycle(STATE_SOURCES)
     out_path = os.path.join(workdir, "out.txt")
     violations = []
     for _ in range(count):
-        argv, out = draw(r, out_path)
+        argv, out = draw(r, sources, out_path)
         violations += [f"{problem}: xdyn {shlex.join(argv)}" for problem in run(main, argv, out)]
     return violations
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Run seeded random argv through the xdyn CLI.")
-    parser.add_argument("--count", type=int, default=20000, help="argv to draw")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the draw")
-    ns = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
-        violations = sweep(ns.count, ns.seed, workdir)
+        violations = sweep(COUNT, SEED, workdir)
     for line in violations:
         print(line)
-    print(f"{ns.count} argv from seed {ns.seed}: {len(violations)} violations")
+    print(f"{COUNT} argv from seed {SEED}: {len(violations)} violations")
     return 1 if violations else 0
 
 

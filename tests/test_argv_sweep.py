@@ -2,6 +2,7 @@
 
 CI runs the same generator on some 20000 argv under ``python -W error``.
 """
+import itertools
 import random
 
 from argv_sweep import COMMANDS, SPECIAL, STATE_KINDS, STATE_SOURCES, draw, sweep
@@ -16,7 +17,8 @@ def test_argv_sweep_holds_every_invariant(tmp_path, monkeypatch):
 
 def test_argv_sweep_draws_every_special_value_and_state_source():
     r = random.Random(SEED)
-    argvs = [draw(r, "out.txt")[0] for _ in range(COUNT)]
+    sources = itertools.cycle(STATE_SOURCES)
+    argvs = [draw(r, sources, "out.txt")[0] for _ in range(COUNT)]
     tokens = {token.partition("=")[2] if token.startswith("--") else token for argv in argvs for token in argv}
     assert set(COMMANDS) <= tokens
     assert set(SPECIAL) <= tokens

@@ -84,6 +84,8 @@ def test_x_block_minimum_matches_jacobi(rng):
 
 
 def test_evolved_states_are_exactly_x_shaped(rng):
+    # DensityMatrix refuses a matrix with any nonzero entry off the X, so
+    # every evolved state must keep all eight exactly 0
     for _ in range(50):
         s, p, t = random_xstate(rng), random_params(rng), float(rng.uniform(0.0, 10.0))
         for m in (
@@ -92,32 +94,26 @@ def test_evolved_states_are_exactly_x_shaped(rng):
             evolve_closed(s, p, t).matrix,
         ):
             assert all(m[i, j] == 0.0 for i, j in OFF_X)
-
-
-def test_referee_stays_exactly_x_shaped_over_the_whole_domain():
-    # DensityMatrix refuses a matrix with any nonzero entry off the X, so the
-    # referee's expm(-iHt) and U rho0 U^dagger must keep all eight exactly 0:
-    # |J| and |B| log-uniform over 1e-6..1e6 of either sign, one draw in four
-    # with Jx = Jy and one in four at zero field, and |H| t up to 1e9
-    r = np.random.default_rng(2205)
+    # and so must the referee's expm(-iHt) and U rho0 U^dagger over the whole
+    # domain: |J| and |B| log-uniform over 1e-6..1e6 of either sign, one draw
+    # in four with Jx = Jy and one in four at zero field, and |H| t up to 1e9
     n = 8192
-    jx, jy, jz, b = r.choice([-1.0, 1.0], (4, n)) * 10.0 ** r.uniform(-6.0, 6.0, (4, n))
+    jx, jy, jz, b = rng.choice([-1.0, 1.0], (4, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (4, n))
     jy[::4] = jx[::4]
     b[1::4] = 0.0
     p = CouplingParams(jx=jx, jy=jy, jz=jz, field=b)
     h = hamiltonian(p)
-    t = 10.0 ** r.uniform(-6.0, 9.0, n) / np.linalg.norm(h, axis=(-2, -1))
+    t = 10.0 ** rng.uniform(-6.0, 9.0, n) / np.linalg.norm(h, axis=(-2, -1))
     u = expm(-1j * t[:, None, None] * h)
-    rho = u @ xstate_matrix(_xstate_from(r.random((n, 6)))) @ u.conj().swapaxes(-1, -2)
+    rho = u @ xstate_matrix(_xstate_from(rng.random((n, 6)))) @ u.conj().swapaxes(-1, -2)
     for m in (u, rho):
         assert all(np.count_nonzero(m[:, i, j]) == 0 for i, j in OFF_X)
 
 
 def test_density_matrix_x_route_skips_jacobi(rng):
-    s, p = random_xstate(rng), random_params(rng)
-    assert np.array_equal(DensityMatrix(xstate_matrix(s)).matrix, xstate_matrix(s))
-    closed, oracle = evolve_closed(s, p, 1.3).matrix, evolve_oracle(s, p, 1.3).matrix
-    assert np.max(np.abs(closed - oracle)) < 1e-13
+    # an X state is judged by the block rule alone and held as given
+    m = xstate_matrix(random_xstate(rng))
+    assert np.array_equal(DensityMatrix(m).matrix, m)
 
 
 def _outer_block_state(eps: float) -> np.ndarray:
