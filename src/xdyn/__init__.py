@@ -10,8 +10,6 @@ from .dynamics import (
     FidelityTrace,
     StationarityVerdict,
     TimeGrid,
-    c_difference_cos2,
-    c_difference_predicted,
     classify,
     detect_period,
     evolve_closed,
@@ -34,8 +32,6 @@ from .fidelity import (
     DensityMatrix,
     fidelity,
     fidelity_bell_diagonal,
-    overlap_bloch_form,
-    overlap_population_form,
     purity,
 )
 from .linalg import expm, trace_product
@@ -89,8 +85,6 @@ __all__ = [
     "XState",
     "XdynError",
     "bloch_from_density",
-    "c_difference_cos2",
-    "c_difference_predicted",
     "classify",
     "detect_period",
     "evolve_closed",
@@ -100,8 +94,6 @@ __all__ = [
     "fidelity_bell_diagonal",
     "from_bloch",
     "hamiltonian",
-    "overlap_bloch_form",
-    "overlap_population_form",
     "preset_bell_diagonal",
     "preset_p_mixture",
     "preset_werner",

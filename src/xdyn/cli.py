@@ -121,9 +121,9 @@ def _propagator_block(p: model.CouplingParams, t: float, include_phase: bool) ->
     u = model.propagator(p, t, include_global_phase=include_phase)
     return {
         "t": float(t),
-        "global_phase_included": u.global_phase_included,
+        "global_phase_included": include_phase,
         "mu_plus": _pair(u.mu_plus),
-        "mu_minus": _pair(u.mu_minus),
+        "mu_minus": _pair(u.mu_plus.conjugate()),
         "delta_entry": _pair(u.delta_entry),
         "matrix": _cmatrix(u.matrix),
     }

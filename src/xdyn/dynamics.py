@@ -5,7 +5,8 @@ evolve_oracle conjugates with the series matrix exponential and knows
 nothing about them.  They must agree entrywise to 1e-10, which is the
 load-bearing check of the whole package (`xdyn validate`, and the test
 suite, exercise it across parameter space including the degenerate
-eta -> 0 corner).
+eta -> 0 corner).  scan's c1 - c2 column is read off rho(t); the printed
+laws for it are judged in `xdyn.validate`, not kept here.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import numpy as np
 from . import linalg, model, states
 from .errors import (
     ConsistencyError,
-    DomainError,
     InsufficientSpanError,
     RangeError,
     first_bad,
@@ -44,8 +44,7 @@ class TimeGrid:
     """Uniform sampling of [0, t_max] with `steps` points, endpoints included.
 
     steps is at most MAX_STEPS, so a grid and the arrays scan builds on it
-    fit in memory.  A float array of t_max makes one grid per element, laid
-    along a new last axis of times().
+    fit in memory.
     """
 
     t_max: float
@@ -53,14 +52,10 @@ class TimeGrid:
 
     def __post_init__(self):
         t_max = self.t_max
-        if isinstance(t_max, np.ndarray) and t_max.dtype == float:
-            at, bad = first_bad(t_max, np.logical_not(np.isfinite(t_max) & (t_max > 0)))
-        elif isinstance(t_max, bool) or not isinstance(t_max, (int, float)):
+        if isinstance(t_max, bool) or not isinstance(t_max, (int, float)):
             raise RangeError(f"TimeGrid.t_max must be a number, got {t_max!r}")
-        else:
-            at, bad = (None, None) if math.isfinite(t_max) and t_max > 0 else ("", t_max)
-        if at is not None:
-            raise RangeError(f"TimeGrid.t_max{at} must be finite and positive, got {bad}")
+        if not (math.isfinite(t_max) and t_max > 0):
+            raise RangeError(f"TimeGrid.t_max must be finite and positive, got {t_max}")
         if isinstance(self.steps, bool) or not isinstance(self.steps, int):
             raise RangeError(f"TimeGrid.steps must be an int, got {self.steps!r}")
         if self.steps < 2:
@@ -70,7 +65,7 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         with np.errstate(over="ignore"):  # near DBL_MAX the last sample overflows before linspace sets it to t_max
-            return np.linspace(0.0, self.t_max, self.steps, axis=-1)
+            return np.linspace(0.0, self.t_max, self.steps)
 
 
 @dataclass(frozen=True)
@@ -215,32 +210,6 @@ def scan(s: states.XState, p: model.CouplingParams, grid: TimeGrid) -> FidelityT
     return FidelityTrace(times=times, f_numeric=f_num, f_closed=f_clo, purity=pur, c1_minus_c2=cdiff)
 
 
-def c_difference_predicted(v: states.BlochVector, p: model.CouplingParams, t: float) -> float:
-    """Candidate law (c1(0) - c2(0)) (1 - 2 B^2 sin^2(eta t) / eta^2).
-
-    This is the form `xdyn validate` confirms against the oracle.  The
-    factor dips below zero whenever B^2 > Delta^2, i.e. such trajectories
-    cross the c1 = c2 plane.
-    """
-    if not is_bell_diagonal(v):
-        raise DomainError("c_difference_predicted: defined only for Bell-diagonal states")
-    t = model._finite_phases(p, t, "c_difference_predicted")
-    pulse = p.field * t * model.sinc(p.eta * t)
-    return (v.c1 - v.c2) * (1.0 - 2.0 * pulse * pulse)
-
-
-def c_difference_cos2(v: states.BlochVector, p: model.CouplingParams, t: float) -> float:
-    """The often-quoted cos^2(eta t) decay law, kept for comparison only.
-
-    It matches the oracle exactly when B^2 = Delta^2 and drifts otherwise;
-    see `xdyn validate` for the adjudication.
-    """
-    if not is_bell_diagonal(v):
-        raise DomainError("c_difference_cos2: defined only for Bell-diagonal states")
-    t = model._finite_phases(p, t, "c_difference_cos2")
-    return (v.c1 - v.c2) * model._pow2(np.cos(p.eta * t))
-
-
 def _period(multiple: int, rate: float) -> float:
     """multiple pi / rate for rate > 0; RangeError when that overflows a float."""
     period = multiple * (math.pi / rate)
@@ -310,8 +279,8 @@ def classify(s: states.XState, p: model.CouplingParams) -> StationarityVerdict:
     )
 
 
-def detect_period(trace: FidelityTrace, tol: float = STATIONARY_TOL) -> float | None:
-    """Mean spacing of refined fidelity minima, or None for a flat trace.
+def detect_period(trace: FidelityTrace) -> float | None:
+    """Mean spacing of refined fidelity minima, or None for a trace flat to STATIONARY_TOL.
 
     Grid minima are kept when they dip at least halfway to the trace's
     deepest excursion, then each is refined with a three-point parabola.
@@ -330,7 +299,7 @@ def detect_period(trace: FidelityTrace, tol: float = STATIONARY_TOL) -> float | 
     if len(f) < 3:
         raise InsufficientSpanError("detect_period: need at least 3 samples")
     amplitude = float(np.max(1.0 - f))
-    if amplitude < tol:
+    if amplitude < STATIONARY_TOL:
         return None
     threshold = 1.0 - 0.5 * amplitude
     dt = times[1] - times[0]

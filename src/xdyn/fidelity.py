@@ -2,11 +2,10 @@
 
 The measure used throughout is Tr(rho sigma) / sqrt(Tr rho^2 Tr sigma^2):
 a normalized Hilbert-Schmidt overlap that is 1 exactly on identical states
-and cheap enough to evaluate densely along a trajectory.  The closed forms
-below are the Bell-diagonal shortcut and two compact aggregate expressions
-for the evolved overlap that `xdyn validate` adjudicates against the
-matrix-exponential oracle (both aggregates are quoted in their widely
-printed form; pass corrected=True for the repaired versions).
+and cheap enough to evaluate densely along a trajectory.  The one closed
+form here is the Bell-diagonal shortcut; the printed aggregate expressions
+for the evolved overlap live in `xdyn.validate`, beside the check that
+judges them against the matrix-exponential oracle.
 """
 from __future__ import annotations
 
@@ -177,53 +176,3 @@ def fidelity_bell_diagonal(v, p: model.CouplingParams, t):
     pulse = p.field * t * model.sinc(p.eta * t)  # B sin(eta t) / eta
     denom = 1.0 + _pow2(v.c1) + _pow2(v.c2) + _pow2(v.c3)
     return 1.0 - _pow2(v.c1 - v.c2) * pulse * pulse / denom
-
-
-def overlap_population_form(s, p: model.CouplingParams, t: float, corrected: bool = False) -> float:
-    """Aggregate for Tr(rho(0) rho(t)) in population variables.
-
-    As commonly printed this misses a coupling between the population
-    imbalance a - d and the outer coherence; corrected=True adds the term
-    4 w (a - d) B Delta sin^2(eta t) / eta^2 that `xdyn validate` fits.
-    Both variants agree with the oracle on Bell-diagonal states.  s, p and
-    t may be stacks.
-    """
-    t = model._finite_phases(p, t, "overlap_population_form")
-    s2e = _pow2(t * model.sinc(p.eta * t))  # sin^2(eta t) / eta^2
-    mu_sq = _pow2(np.cos(p.eta * t)) + _pow2(p.field) * s2e  # |mu|^2
-    delta_sq = -_pow2(p.delta) * s2e  # delta_entry^2 is real negative
-    value = (
-        (_pow2(s.a) + _pow2(s.d)) * mu_sq
-        + _pow2(s.b - s.c) * _pow2(np.cos(p.omega * t))
-        - 2.0 * s.a * s.d * delta_sq
-        + 2.0 * s.b * s.c
-        + 2.0 * _pow2(s.z)
-        + 2.0 * _pow2(s.w) * (1.0 - 2.0 * _pow2(p.field) * s2e)
-    )
-    if corrected:
-        value += 4.0 * s.w * (s.a - s.d) * p.field * p.delta * s2e
-    return value
-
-
-def overlap_bloch_form(v, p: model.CouplingParams, t: float, corrected: bool = False) -> float:
-    """Aggregate for Tr(rho(0) rho(t)) in Bloch variables.
-
-    The widely printed version omits the cross term coupling (c1 - c2) and
-    (s1 + s2); corrected=True restores it,
-    (c1 - c2)(s1 + s2) B Delta sin^2(eta t) / (2 eta^2).  v, p and t may be
-    stacks.
-    """
-    t = model._finite_phases(p, t, "overlap_bloch_form")
-    s2e = _pow2(t * model.sinc(p.eta * t))
-    cos_sq = _pow2(np.cos(p.eta * t))
-    value = (
-        2.0 * (2.0 + 2.0 * _pow2(v.c3))
-        + 2.0 * _pow2(v.s1 + v.s2) * (cos_sq + (_pow2(p.field) - _pow2(p.delta)) * s2e)
-        - 2.0 * _pow2(v.s1 - v.s2)
-        + 4.0 * _pow2(v.s1 - v.s2) * _pow2(np.cos(p.omega * t))
-        + 2.0 * _pow2(v.c1 + v.c2)
-        + 2.0 * _pow2(v.c1 - v.c2)
-    ) / 16.0 - _pow2(v.c1 - v.c2) * _pow2(p.field) * s2e / 4.0
-    if corrected:
-        value += (v.c1 - v.c2) * (v.s1 + v.s2) * p.field * p.delta * s2e / 2.0
-    return value

@@ -63,12 +63,6 @@ def max_abs_each(m: np.ndarray) -> np.ndarray:
     return np.abs(m).max(axis=(-2, -1))
 
 
-def frobenius(m: np.ndarray):
-    """Frobenius norm, an array of them for a stack."""
-    norm = np.linalg.norm(m, axis=(-2, -1))
-    return float(norm) if np.ndim(norm) == 0 else norm
-
-
 def expm(m) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a Taylor core.
 
@@ -90,7 +84,7 @@ def expm(m) -> np.ndarray:
     """
     a = as_matrix4(m, "expm")
 
-    norm = np.asarray(frobenius(a))
+    norm = np.linalg.norm(a, axis=(-2, -1))  # Frobenius
     s = np.where(norm > 0.5, np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5)), 0.0)
     scale = np.ldexp(1.0, s.astype(int))  # 2**s, exactly
     scaled = a / scale[..., None, None]

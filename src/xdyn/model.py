@@ -233,18 +233,17 @@ def _outer_entries(p: CouplingParams, t):
 class Propagator:
     """Closed-form time evolution operator.
 
-    mu_plus, mu_minus and delta_entry are always the phase-stripped block
-    entries (the overall exp(-i jz t / 2) factor is dropped from them);
-    ``matrix`` carries that scalar factor only when requested at build time.
+    mu_plus and delta_entry are always the phase-stripped block entries
+    (the overall exp(-i jz t / 2) factor is dropped from them), and mu_minus
+    is mu_plus.conjugate(); ``matrix`` carries that scalar factor only when
+    requested at build time.
     For a stack of couplings or times the entries are arrays and ``matrix``
     has shape (..., 4, 4).
     """
 
     mu_plus: complex
-    mu_minus: complex
     delta_entry: complex
     matrix: np.ndarray
-    global_phase_included: bool
 
 
 def _complex(re, im):
@@ -286,10 +285,4 @@ def propagator(p: CouplingParams, t, include_global_phase: bool = False) -> Prop
         u *= np.exp(-0.5j * p.jz * t)[..., None, None]
     if mu_plus.ndim == 0:
         mu_plus, delta_entry = complex(mu_plus), complex(delta_entry)
-    return Propagator(
-        mu_plus=mu_plus,
-        mu_minus=mu_plus.conjugate(),
-        delta_entry=delta_entry,
-        matrix=u,
-        global_phase_included=include_global_phase,
-    )
+    return Propagator(mu_plus=mu_plus, delta_entry=delta_entry, matrix=u)

@@ -6,8 +6,10 @@ evaluates several compact shortcut forms that circulate for this system
 (aggregate overlap expressions, the (z - w) shortcut for c2, the Werner
 common value, the outer eigenvector normalizer, the cos^2 decay law, the
 inner coherence sign) and reports, for each, whether it matches the oracle
-or which corrected form does.  Adjudication outcomes are informational:
-the exit status depends only on the binding checks.
+or which corrected form does.  Each printed form is written out once, as
+printed, beside the check that judges it; the library itself takes its
+overlaps and c1 - c2 from the evolved six numbers.  Adjudication outcomes
+are informational: the exit status depends only on the binding checks.
 
 Each check draws its cases as one block of uniforms per BLOCK cases,
 ``rng.random((n, width))``, whose columns map to the values the per-case
@@ -27,16 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, model, states
-from .dynamics import (
-    TimeGrid,
-    _checked_fidelity,
-    _evolve_x,
-    _mode_amplitudes,
-    c_difference_cos2,
-    c_difference_predicted,
-    evolve_closed,
-    evolve_oracle,
-)
+from .dynamics import _checked_fidelity, _evolve_x, _mode_amplitudes, evolve_closed, evolve_oracle
 from .errors import RangeError
 from .fidelity import (
     EIG_FLOOR,
@@ -46,9 +39,8 @@ from .fidelity import (
     _modulus,
     fidelity,
     fidelity_bell_diagonal,
-    overlap_bloch_form,
-    overlap_population_form,
 )
+from .model import _pow2
 
 # States evaluated together.  Each check draws and evaluates its cases in
 # blocks that hold at most this many states (grid samples, for scan
@@ -247,7 +239,7 @@ def _check_conservation(rng, cases: int) -> list[CheckResult]:
         p = _params_from(u[:, None, 6:], k[:, None])
         eta = p.eta[:, 0]
         t_max = np.where(eta > 0, 3.0 * math.pi / np.where(eta > 0, eta, 1.0), 10.0)
-        xt = _evolve_x(s, p, TimeGrid(t_max=t_max, steps=SCAN_STEPS).times())
+        xt = _evolve_x(s, p, np.linspace(0.0, t_max, SCAN_STEPS, axis=-1))
         _checked_fidelity((s.a, s.b, s.c, s.d, s.z, s.w), xt)  # scan's own checks
         rho = DensityMatrix(states._x_matrix(*xt)).matrix  # the per-sample checks of a single state
         trace.add(k, np.max(abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0), axis=1))
@@ -280,6 +272,43 @@ def _three_term_overlap(s: states.XState, p: model.CouplingParams, t):
     return s.purity - b_eta - c + b_eta * np.cos(2.0 * p.eta * t) + c * np.cos(2.0 * p.omega * t)
 
 
+def _population_aggregate(s: states.XState, p: model.CouplingParams, t):
+    """Tr rho(0) rho(t) in population variables, as printed.
+
+    It misses the term 4 w (a - d) B Delta sin^2(eta t) / eta^2 that couples
+    the population imbalance to the outer coherence, so it holds only where
+    that term vanishes, as on Bell-diagonal states (a = d).
+    """
+    s2e = _pow2(t * model.sinc(p.eta * t))  # sin^2(eta t) / eta^2
+    mu_sq = _pow2(np.cos(p.eta * t)) + _pow2(p.field) * s2e  # |mu|^2
+    delta_sq = -_pow2(p.delta) * s2e  # delta_entry^2 is real negative
+    return (
+        (_pow2(s.a) + _pow2(s.d)) * mu_sq
+        + _pow2(s.b - s.c) * _pow2(np.cos(p.omega * t))
+        - 2.0 * s.a * s.d * delta_sq
+        + 2.0 * s.b * s.c
+        + 2.0 * _pow2(s.z)
+        + 2.0 * _pow2(s.w) * (1.0 - 2.0 * _pow2(p.field) * s2e)
+    )
+
+
+def _bloch_aggregate(v: states.BlochVector, p: model.CouplingParams, t):
+    """Tr rho(0) rho(t) in Bloch variables, as printed.
+
+    It misses the cross term (c1 - c2)(s1 + s2) B Delta sin^2(eta t) / (2 eta^2).
+    """
+    s2e = _pow2(t * model.sinc(p.eta * t))
+    cos_sq = _pow2(np.cos(p.eta * t))
+    return (
+        2.0 * (2.0 + 2.0 * _pow2(v.c3))
+        + 2.0 * _pow2(v.s1 + v.s2) * (cos_sq + (_pow2(p.field) - _pow2(p.delta)) * s2e)
+        - 2.0 * _pow2(v.s1 - v.s2)
+        + 4.0 * _pow2(v.s1 - v.s2) * _pow2(np.cos(p.omega * t))
+        + 2.0 * _pow2(v.c1 + v.c2)
+        + 2.0 * _pow2(v.c1 - v.c2)
+    ) / 16.0 - _pow2(v.c1 - v.c2) * _pow2(p.field) * s2e / 4.0
+
+
 def _errata_overlap_aggregates(rng, cases: int) -> tuple[list[ErrataFinding], CheckResult]:
     """The two aggregate findings, and the binding check of the three-term law
     on the same oracle overlaps."""
@@ -294,15 +323,19 @@ def _errata_overlap_aggregates(rng, cases: int) -> tuple[list[ErrataFinding], Ch
         pair = states.XState(*(np.stack([getattr(s, n), getattr(bd, n)]) for n in "abcdzw"))
         oracle, oracle_bd = linalg.trace_product(states.xstate_matrix(pair), evolve_oracle(pair, p, t).matrix).real
         v = states.to_bloch(s)
-        resid_pop = oracle - overlap_population_form(s, p, t)
+        s2e = _pow2(t * model.sinc(p.eta * t))
+        value = _population_aggregate(s, p, t)
+        resid_pop = oracle - value
         pop.add(k, abs(resid_pop))
-        pop_fixed.add(k, abs(oracle - overlap_population_form(s, p, t, corrected=True)))
-        bloch.add(k, abs(oracle - overlap_bloch_form(v, p, t)))
-        bloch_fixed.add(k, abs(oracle - overlap_bloch_form(v, p, t, corrected=True)))
-        s2e = model._pow2(t * model.sinc(p.eta * t))
+        value += 4.0 * s.w * (s.a - s.d) * p.field * p.delta * s2e  # the missing term
+        pop_fixed.add(k, abs(oracle - value))
+        value = _bloch_aggregate(v, p, t)
+        bloch.add(k, abs(oracle - value))
+        value += (v.c1 - v.c2) * (v.s1 + v.s2) * p.field * p.delta * s2e / 2.0  # the missing cross term
+        bloch_fixed.add(k, abs(oracle - value))
         fit.add(resid_pop, s.w * (s.a - s.d) * p.field * p.delta * s2e)
-        bell.add(k, abs(oracle_bd - overlap_population_form(bd, p, t)))
-        bell.add(k, abs(oracle_bd - overlap_bloch_form(states.to_bloch(bd), p, t)))
+        bell.add(k, abs(oracle_bd - _population_aggregate(bd, p, t)))
+        bell.add(k, abs(oracle_bd - _bloch_aggregate(states.to_bloch(bd), p, t)))
         law.add(k, np.max(abs(np.stack([oracle, oracle_bd]) - _three_term_overlap(pair, p, t)), axis=0))
 
     tol = 1e-10
@@ -417,6 +450,24 @@ def _errata_normalizer(rng, cases: int) -> ErrataFinding:
     )
 
 
+def _c_diff_cos2(v: states.BlochVector, p: model.CouplingParams, t):
+    """The often-quoted decay law c1 - c2 = (c1(0) - c2(0)) cos^2(eta t).
+
+    It holds exactly when B^2 = Delta^2 and drifts otherwise.
+    """
+    return (v.c1 - v.c2) * _pow2(np.cos(p.eta * t))
+
+
+def _c_diff_sin2(v: states.BlochVector, p: model.CouplingParams, t):
+    """The law the oracle confirms, c1 - c2 = (c1(0) - c2(0)) (1 - 2 B^2 sin^2(eta t) / eta^2).
+
+    The factor dips below zero, and the trajectory crosses the c1 = c2
+    plane, exactly when B^2 > Delta^2.
+    """
+    pulse = p.field * t * model.sinc(p.eta * t)  # B sin(eta t) / eta
+    return (v.c1 - v.c2) * (1.0 - 2.0 * pulse * pulse)
+
+
 def _errata_c_diff_law(rng, cases: int) -> ErrataFinding:
     worst_cos2, worst_linear = _Extreme(), _Extreme()
     crossings = 0
@@ -427,8 +478,8 @@ def _errata_c_diff_law(rng, cases: int) -> ErrataFinding:
         v = states.to_bloch(s)
         vt = states.bloch_from_density(evolve_oracle(s, p, t))
         oracle = vt.c1 - vt.c2
-        worst_cos2.add(k, abs(oracle - c_difference_cos2(v, p, t)))
-        worst_linear.add(k, abs(oracle - c_difference_predicted(v, p, t)))
+        worst_cos2.add(k, abs(oracle - _c_diff_cos2(v, p, t)))
+        worst_linear.add(k, abs(oracle - _c_diff_sin2(v, p, t)))
         crossings += int(np.count_nonzero(((v.c1 - v.c2) > 1e-6) & (oracle < -1e-6)))
     return ErrataFinding(
         name="c1 - c2 decay law (cos^2(eta*t))",

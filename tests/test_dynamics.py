@@ -13,15 +13,12 @@ from xdyn import (
     BlochVector,
     ConsistencyError,
     CouplingParams,
-    DomainError,
     InsufficientSpanError,
     InvalidInputError,
     RangeError,
     TimeGrid,
     XState,
     bloch_from_density,
-    c_difference_cos2,
-    c_difference_predicted,
     classify,
     detect_period,
     evolve_closed,
@@ -31,21 +28,20 @@ from xdyn import (
     fidelity_bell_diagonal,
     from_bloch,
     hamiltonian,
-    overlap_bloch_form,
-    overlap_population_form,
     preset_bell_diagonal,
     preset_p_mixture,
     preset_werner,
     propagator,
     purity,
     scan,
+    sinc,
     to_bloch,
     to_density,
     xstate_matrix,
 )
 from xdyn import dynamics
 from xdyn.dynamics import FidelityTrace
-from xdyn.validate import _commuting_from
+from xdyn.validate import _c_diff_cos2, _c_diff_sin2, _commuting_from, _population_aggregate
 
 from conftest import max_abs, random_bell_diagonal, random_params, random_xstate
 
@@ -115,8 +111,6 @@ def test_one_point_calls_reject_non_finite_time(rng):
     s, p = random_xstate(rng), random_params(rng)
     v = to_bloch(random_bell_diagonal(rng))
     for t in (math.inf, -math.inf, math.nan):
-        with pytest.raises(InvalidInputError, match="c_difference_predicted: t must be finite"):
-            c_difference_predicted(v, p, t)
         for times in (t, np.array([0.0, t])):
             with pytest.raises(InvalidInputError, match="fidelity_bell_diagonal: t must be finite"):
                 fidelity_bell_diagonal(v, p, times)
@@ -126,22 +120,9 @@ def test_one_point_calls_reject_non_finite_time(rng):
     "form",
     [
         lambda s, v, p, t: fidelity_bell_diagonal(v, p, t),
-        lambda s, v, p, t: c_difference_predicted(v, p, t),
-        lambda s, v, p, t: c_difference_cos2(v, p, t),
-        lambda s, v, p, t: overlap_population_form(s, p, t),
-        lambda s, v, p, t: overlap_population_form(s, p, t, corrected=True),
-        lambda s, v, p, t: overlap_bloch_form(v, p, t),
         lambda s, v, p, t: evolve_oracle(s, p, t),
     ],
-    ids=[
-        "fidelity_bell_diagonal",
-        "c_difference_predicted",
-        "c_difference_cos2",
-        "overlap_population_form",
-        "overlap_population_form_corrected",
-        "overlap_bloch_form",
-        "evolve_oracle",
-    ],
+    ids=["fidelity_bell_diagonal", "evolve_oracle"],
 )
 def test_library_forms_refuse_overflowing_phases(form):
     # the same RangeError propagator raises, before any warning or math domain error
@@ -154,13 +135,15 @@ def test_library_forms_refuse_overflowing_phases(form):
 
 
 def test_overlap_evolved_routes(rng):
-    # Tr(rho(0) rho(t)) from the six evolved numbers, as scan and validate take it
+    # Tr(rho(0) rho(t)) from the six evolved numbers, as scan and validate take it,
+    # against the printed population aggregate plus the term it misses
     for _ in range(50):
         s = random_xstate(rng)
         p = random_params(rng)
         t = float(rng.uniform(0.0, 8.0))
         direct = dynamics._x_overlap((s.a, s.b, s.c, s.d, s.z, s.w), dynamics._evolve_x(s, p, t))
-        via_form = overlap_population_form(s, p, t, corrected=True)
+        s2e = (t * sinc(p.eta * t)) ** 2
+        via_form = _population_aggregate(s, p, t) + 4.0 * s.w * (s.a - s.d) * p.field * p.delta * s2e
         assert abs(direct - via_form) < 1e-12
 
 
@@ -174,6 +157,8 @@ def test_time_grid_validation():
     for t_max in ("2", None, True, 1j):
         with pytest.raises(RangeError, match=rf"^TimeGrid.t_max must be a number, got {t_max!r}$"):
             TimeGrid(t_max=t_max, steps=5)
+    with pytest.raises(RangeError, match=r"^TimeGrid.t_max must be a number, got array\("):
+        TimeGrid(t_max=np.array([1.0, 2.0]), steps=5)  # one grid, not a stack of them
     g = TimeGrid(t_max=2.0, steps=5)
     assert np.allclose(g.times(), [0.0, 0.5, 1.0, 1.5, 2.0], atol=0)
 
@@ -214,9 +199,7 @@ def test_scan_bell_diagonal_closed_column(rng):
     assert np.max(np.abs(trace.f_closed - trace.f_numeric)) < 1e-12
     # the c1 - c2 column obeys the confirmed linear-in-sin^2 law
     v = to_bloch(s)
-    predicted = np.array(
-        [c_difference_predicted(v, p, float(t)) for t in trace.times]
-    )
+    predicted = np.array([_c_diff_sin2(v, p, float(t)) for t in trace.times])
     assert np.max(np.abs(trace.c1_minus_c2 - predicted)) < 1e-12
 
 
@@ -346,7 +329,7 @@ def test_c_difference_matches_oracle(rng):
         for t, got in zip(trace.times.tolist(), trace.c1_minus_c2.tolist()):
             ref = bloch_from_density(evolve_oracle(s, p, t).matrix)
             assert abs(got - (ref.c1 - ref.c2)) < 1e-12
-            worst = max(worst, abs(got - c_difference_predicted(v, p, t)))
+            worst = max(worst, abs(got - _c_diff_sin2(v, p, t)))
     assert worst < 1e-12
 
 
@@ -358,7 +341,7 @@ def test_c_difference_crosses_plane_when_field_dominates():
     assert trace.times[1] == math.pi / 2.0
     assert trace.c1_minus_c2[1] < -1.39
     # the quoted cos^2 law cannot go negative and misses this entirely
-    assert c_difference_cos2(v, p, math.pi / 2.0) == pytest.approx(0.0, abs=1e-15)
+    assert _c_diff_cos2(v, p, math.pi / 2.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_c_difference_no_crossing_when_anisotropy_dominates():
@@ -366,14 +349,6 @@ def test_c_difference_no_crossing_when_anisotropy_dominates():
     p = CouplingParams(jx=2.3, jy=0.3, jz=0.5, field=0.3)  # delta = 1, B = 0.3
     trace = scan(from_bloch(v), p, TimeGrid(t_max=12.0, steps=241))
     assert trace.c1_minus_c2.min() > 0.0
-
-
-def test_c_difference_rejects_polarized():
-    v = BlochVector(s1=0.1, s2=0.0, c1=0.2, c2=0.1, c3=0.0)
-    p = CouplingParams(jx=1.0, jy=0.0, jz=0.0, field=1.0)
-    for fn in (c_difference_predicted, c_difference_cos2):
-        with pytest.raises(DomainError):
-            fn(v, p, 1.0)
 
 
 def test_nominal_period_frozen():
@@ -665,21 +640,14 @@ def test_detect_period_insufficient_span():
         detect_period(tiny)
 
 
-def test_detect_period_tol_override():
-    s = preset_p_mixture("phi_plus", 0.5)
-    p = CouplingParams(1.0, 1.0, 0.5, 0.5)
-    trace = scan(s, p, TimeGrid(t_max=6.0 * math.pi, steps=500))
-    assert detect_period(trace, tol=2.0) is None
-
-
-def _detect_period_loop(trace, tol=dynamics.STATIONARY_TOL):
+def _detect_period_loop(trace):
     """detect_period as a loop over samples: the reference for the array version."""
     f = np.asarray(trace.f_numeric, dtype=float)
     times = np.asarray(trace.times, dtype=float)
     if len(f) < 3:
         raise InsufficientSpanError("detect_period: need at least 3 samples")
     amplitude = float(np.max(1.0 - f))
-    if amplitude < tol:
+    if amplitude < dynamics.STATIONARY_TOL:
         return None
     threshold = 1.0 - 0.5 * amplitude
     dt = times[1] - times[0]
@@ -699,13 +667,13 @@ def _detect_period_loop(trace, tol=dynamics.STATIONARY_TOL):
     return float(np.mean(spacings))
 
 
-def _period_outcome(detect, trace, tol):
+def _period_outcome(detect, trace):
     """What a detect_period call gives: the bits of its value (or None) or its error,
     and whether numpy warned on the way."""
     with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
         warnings.simplefilter("always")
         try:
-            value = detect(trace, tol)
+            value = detect(trace)
             got = None if value is None else np.float64(value).view(np.int64)
         except InsufficientSpanError as exc:
             got = (type(exc), str(exc))
@@ -737,27 +705,30 @@ _SAMPLE = st.one_of(
 @given(
     f=st.lists(_SAMPLE, min_size=0, max_size=40),
     t_max=st.floats(1e-3, 1e3),
-    tol=st.sampled_from([dynamics.STATIONARY_TOL, 0.3, 2.0]),
 )
-@example(f=[1.0, 0.0, 1.0], t_max=1.0, tol=dynamics.STATIONARY_TOL)  # the 3-sample minimum
-@example(f=[1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0], t_max=1.0, tol=dynamics.STATIONARY_TOL)  # 0/0 off the minima
-@example(f=[1.0, 0.5, 1.0, 0.5, 1.0], t_max=1.0, tol=dynamics.STATIONARY_TOL)  # minima at the threshold
-@example(f=[1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0], t_max=1.0, tol=dynamics.STATIONARY_TOL)  # plateaus
-@example(f=[1.0, -math.inf, -math.inf, 1.0, -math.inf, 0.0], t_max=1.0, tol=dynamics.STATIONARY_TOL)  # denom NaN, then inf
-@example(f=[1.0, -1e308, -1e308, 1.0, -1e308, 0.0], t_max=1.0, tol=dynamics.STATIONARY_TOL)  # 2 f[i] overflows
-@example(f=[1.0, 0.0, math.nan, 0.0, 1.0], t_max=1.0, tol=dynamics.STATIONARY_TOL)  # no minimum passes
-def test_detect_period_matches_the_loop_bit_for_bit(f, t_max, tol):
+@example(f=[1.0, 0.0, 1.0], t_max=1.0)  # the 3-sample minimum
+@example(f=[1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0], t_max=1.0)  # 0/0 off the minima
+@example(f=[1.0, 0.5, 1.0, 0.5, 1.0], t_max=1.0)  # minima at the threshold
+@example(f=[1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0], t_max=1.0)  # plateaus
+@example(f=[1.0, -math.inf, -math.inf, 1.0, -math.inf, 0.0], t_max=1.0)  # denom NaN, then inf
+@example(f=[1.0, -1e308, -1e308, 1.0, -1e308, 0.0], t_max=1.0)  # 2 f[i] overflows
+@example(f=[1.0, 0.0, math.nan, 0.0, 1.0], t_max=1.0)  # no minimum passes
+# Flat traces on either side of STATIONARY_TOL.  1 - f is exact for f near 1 and
+# 1e-10 is no multiple of 2^-53, so no amplitude equals it: the two f here give
+# the largest amplitude below it (None) and the smallest at or above it.
+@example(f=[1.0, 0.9999999999000001, 1.0], t_max=1.0)
+@example(f=[1.0, 0.9999999999, 1.0], t_max=1.0)
+def test_detect_period_matches_the_loop_bit_for_bit(f, t_max):
     trace = _trace_of(f, t_max)
-    assert _period_outcome(detect_period, trace, tol) == _period_outcome(_detect_period_loop, trace, tol)
+    assert _period_outcome(detect_period, trace) == _period_outcome(_detect_period_loop, trace)
 
 
 def test_detect_period_matches_the_loop_on_scans(rng):
     # traces of the length classify and period measure, generic and Bell-diagonal
-    tol = dynamics.STATIONARY_TOL
     for k in range(40):
         s = random_xstate(rng) if k % 2 else random_bell_diagonal(rng)
         trace = scan(s, random_params(rng), TimeGrid(t_max=float(rng.uniform(5.0, 40.0)), steps=3601))
-        assert _period_outcome(detect_period, trace, tol) == _period_outcome(_detect_period_loop, trace, tol)
+        assert _period_outcome(detect_period, trace) == _period_outcome(_detect_period_loop, trace)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,4 @@
-"""Density matrix validation, overlap fidelity, and the aggregate forms."""
+"""Density matrix validation, overlap fidelity, and the printed aggregate forms `xdyn validate` judges."""
 import math
 
 import numpy as np
@@ -18,11 +18,10 @@ from xdyn import (
     fidelity,
     fidelity_bell_diagonal,
     hamiltonian,
-    overlap_bloch_form,
-    overlap_population_form,
     preset_bell_diagonal,
     preset_p_mixture,
     purity,
+    sinc,
     to_bloch,
     to_density,
     trace_product,
@@ -30,7 +29,7 @@ from xdyn import (
 )
 from xdyn.fidelity import _x_min_eigenvalue
 from xdyn.states import BlochVector
-from xdyn.validate import _xstate_from
+from xdyn.validate import _bloch_aggregate, _population_aggregate, _xstate_from
 
 from conftest import random_bell_diagonal, random_params, random_xstate
 
@@ -74,7 +73,7 @@ def _random_x_matrix(rng) -> np.ndarray:
     return m
 
 
-def test_x_block_minimum_matches_jacobi(rng):
+def test_x_block_minimum_matches_eigvalsh(rng):
     matrices = [_random_x_matrix(rng) for _ in range(100)]
     for _ in range(50):
         s, p, t = random_xstate(rng), random_params(rng), float(rng.uniform(0.0, 10.0))
@@ -110,7 +109,7 @@ def test_evolved_states_are_exactly_x_shaped(rng):
         assert all(np.count_nonzero(m[:, i, j]) == 0 for i, j in OFF_X)
 
 
-def test_density_matrix_x_route_skips_jacobi(rng):
+def test_density_matrix_holds_x_matrix_as_given(rng):
     # an X state is judged by the block rule alone and held as given
     m = xstate_matrix(random_xstate(rng))
     assert np.array_equal(DensityMatrix(m).matrix, m)
@@ -223,14 +222,26 @@ def _oracle_overlap(s, p, t):
     return trace_product(xstate_matrix(s), evolve_oracle(s, p, t).matrix).real
 
 
+def _corrected_population(s, p, t):
+    # the printed population aggregate plus its missing term 4 w (a - d) B Delta sin^2(eta t) / eta^2
+    s2e = (t * sinc(p.eta * t)) ** 2
+    return _population_aggregate(s, p, t) + 4.0 * s.w * (s.a - s.d) * p.field * p.delta * s2e
+
+
+def _corrected_bloch(v, p, t):
+    # the printed Bloch aggregate plus its missing (c1 - c2)(s1 + s2) B Delta sin^2(eta t) / (2 eta^2)
+    s2e = (t * sinc(p.eta * t)) ** 2
+    return _bloch_aggregate(v, p, t) + (v.c1 - v.c2) * (v.s1 + v.s2) * p.field * p.delta * s2e / 2.0
+
+
 def test_overlap_forms_agree_on_bell_diagonal(rng):
     for _ in range(50):
         s = random_bell_diagonal(rng)
         p = random_params(rng)
         t = float(rng.uniform(0.0, 8.0))
         ref = _oracle_overlap(s, p, t)
-        assert abs(overlap_population_form(s, p, t) - ref) < 1e-12
-        assert abs(overlap_bloch_form(to_bloch(s), p, t) - ref) < 1e-12
+        assert abs(_population_aggregate(s, p, t) - ref) < 1e-12
+        assert abs(_bloch_aggregate(to_bloch(s), p, t) - ref) < 1e-12
 
 
 def test_printed_overlap_misses_cross_term():
@@ -242,10 +253,10 @@ def test_printed_overlap_misses_cross_term():
     p = CouplingParams(jx=1.5, jy=0.3, jz=0.7, field=0.9)
     t = 1.1
     ref = _oracle_overlap(s, p, t)
-    assert abs(overlap_population_form(s, p, t) - ref) > 1e-3
-    assert abs(overlap_bloch_form(to_bloch(s), p, t) - ref) > 1e-3
-    assert abs(overlap_population_form(s, p, t, corrected=True) - ref) < 1e-13
-    assert abs(overlap_bloch_form(to_bloch(s), p, t, corrected=True) - ref) < 1e-13
+    assert abs(_population_aggregate(s, p, t) - ref) > 1e-3
+    assert abs(_bloch_aggregate(to_bloch(s), p, t) - ref) > 1e-3
+    assert abs(_corrected_population(s, p, t) - ref) < 1e-13
+    assert abs(_corrected_bloch(to_bloch(s), p, t) - ref) < 1e-13
 
 
 def test_corrected_overlap_matches_oracle(rng):
@@ -255,8 +266,8 @@ def test_corrected_overlap_matches_oracle(rng):
         p = random_params(rng)
         t = float(rng.uniform(0.0, 8.0))
         ref = _oracle_overlap(s, p, t)
-        worst = max(worst, abs(overlap_population_form(s, p, t, corrected=True) - ref))
-        worst = max(worst, abs(overlap_bloch_form(to_bloch(s), p, t, corrected=True) - ref))
+        worst = max(worst, abs(_corrected_population(s, p, t) - ref))
+        worst = max(worst, abs(_corrected_bloch(to_bloch(s), p, t) - ref))
     assert worst < 1e-12
 
 
@@ -280,7 +291,8 @@ def test_population_and_bloch_aggregates_are_the_same_function(seed):
     p = CouplingParams(*(float(x) for x in r.uniform(-2.0, 2.0, 4)))
     t = float(r.uniform(0.0, 8.0))
     v = to_bloch(s)
-    for corrected in (False, True):
-        lhs = overlap_population_form(s, p, t, corrected=corrected)
-        rhs = overlap_bloch_form(v, p, t, corrected=corrected)
+    for lhs, rhs in (
+        (_population_aggregate(s, p, t), _bloch_aggregate(v, p, t)),
+        (_corrected_population(s, p, t), _corrected_bloch(v, p, t)),
+    ):
         assert abs(lhs - rhs) < 1e-13

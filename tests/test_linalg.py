@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xdyn import InvalidInputError, expm, trace_product
-from xdyn.linalg import ID4, PAULI_X, PAULI_Z, frobenius
+from xdyn.linalg import ID4, PAULI_X, PAULI_Z
 
 from conftest import max_abs, random_hermitian
 
@@ -98,8 +98,3 @@ def test_trace_product_matches_direct(rng):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         assert abs(trace_product(a, b) - np.trace(a @ b)) < 1e-12
-
-
-def test_frobenius_matches_numpy(rng):
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert math.isclose(frobenius(m), float(np.linalg.norm(m)), rel_tol=1e-15)

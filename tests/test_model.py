@@ -237,14 +237,12 @@ def test_propagator_phase_flag_is_a_scalar_factor(rng):
     # block entries are phase-stripped in both
     assert bare.mu_plus == full.mu_plus
     assert bare.delta_entry == full.delta_entry
-    assert bare.global_phase_included is False
-    assert full.global_phase_included is True
 
 
 def test_propagator_entries_match_matrix(rng):
     p = random_params(rng)
     u = propagator(p, 2.3)
-    assert u.matrix[0, 0] == u.mu_minus
+    assert u.matrix[0, 0] == u.mu_plus.conjugate()
     assert u.matrix[3, 3] == u.mu_plus
     assert u.matrix[0, 3] == -u.delta_entry
     assert u.matrix[3, 0] == -u.delta_entry

@@ -19,7 +19,6 @@ from xdyn import (
     NormalizationError,
     PositivityError,
     RangeError,
-    TimeGrid,
     XState,
     evolve_closed,
     evolve_oracle,
@@ -169,9 +168,6 @@ def test_stack_construction_checks_name_the_failing_element():
         XState(good, good, good, good, good * 0, np.array([0.0, 0.1, 0.3]))
     with pytest.raises(PositivityError, match=r"XState\[0\] stores coherence magnitudes"):
         XState(good, good, good, good, np.array([-0.1, 0.0, 0.0]), good * 0)
-    with pytest.raises(RangeError, match=r"TimeGrid.t_max\[1\] must be finite and positive"):
-        TimeGrid(t_max=np.array([1.0, 0.0]), steps=5)
-    assert TimeGrid(t_max=np.array([1.0, 2.0]), steps=5).times().shape == (2, 5)
 
 
 def test_stacked_phase_check_names_the_overflowing_element():
