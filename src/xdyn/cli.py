@@ -316,11 +316,15 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The xdyn parser; when command names a subcommand, only it gets its arguments.
+    """The xdyn parser; when command names a subcommand, only it is built in full.
 
     Every subcommand is registered either way, so the main parser's usage
-    line and help list all six.  A parser built for one command parses
-    that command's argv exactly as the full parser does.
+    line, help and choice list name all six.  The other five then get
+    neither their arguments nor a -h action, since a request for one
+    command never enters them.  A parser built for one command parses that
+    command's argv, and prints its help and usage, exactly as the full
+    parser does.  Without a known command (help, a bogus or a missing one)
+    every subcommand is built in full.
     """
     parser = _Parser(
         prog="xdyn",
@@ -329,11 +333,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "Heisenberg exchange with a uniform z field"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # prog given, argparse need not format the main usage line to derive it
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     build_all = command not in _COMMANDS
     for name, (_, help_text, arguments) in _COMMANDS.items():
-        sub_parser = sub.add_parser(name, help=help_text)
-        if build_all or name == command:
+        built = build_all or name == command
+        sub_parser = sub.add_parser(name, help=help_text, add_help=built)
+        if built:
             for flag, kwargs in arguments:
                 sub_parser.add_argument(flag, **kwargs)
     return parser

@@ -164,7 +164,8 @@ def _bell_from(u) -> states.XState:
 
 class _Extreme:
     """Running maximum (minimum, with lowest=True) of a check over its blocks,
-    and the case index where it first occurs."""
+    and the case index where it first occurs.  The first NaN wins and is
+    kept, in whichever block it comes, so the check fails on it."""
 
     def __init__(self, lowest: bool = False):
         self.lowest = lowest
@@ -172,11 +173,11 @@ class _Extreme:
         self.index = None
 
     def add(self, k: np.ndarray, values: np.ndarray) -> None:
-        if len(values) == 0:
+        if len(values) == 0 or math.isnan(self.value):
             return
-        i = int(np.argmin(values) if self.lowest else np.argmax(values))
+        i = int(np.argmin(values) if self.lowest else np.argmax(values))  # either picks a block's first NaN
         v = float(values[i])
-        if self.index is None or (v < self.value if self.lowest else v > self.value):
+        if self.index is None or math.isnan(v) or (v < self.value if self.lowest else v > self.value):
             self.value, self.index = v, int(k[i])
 
     def result(self, name: str, tolerance: float) -> CheckResult:

@@ -15,7 +15,10 @@ warnings raised as errors, and must:
 
 - exit 0, 1 or 2, with no exception escaping main and no Traceback on stderr;
 - on an error, leave stdout empty and write no --out file;
-- on success, hold no whole-word nan or inf in its payload.
+- on success, hold no whole-word nan or inf in its payload;
+- give the same exit code, stdout, stderr and --out payload when run
+  again under the full parser, which builds every subcommand whatever
+  command argv names (with an --out path of its own).
 
 Every violation is printed with its argv; the exit code is 1 if there is any.
 """
@@ -145,8 +148,9 @@ def draw(r: random.Random, sources: Iterator[str], out_path: str) -> tuple[list[
     return argv, out if out == out_path else None
 
 
-def run(main, argv: list[str], out_path: str | None) -> list[str]:
-    """The invariants one in-process call of main breaks, as messages."""
+def run(main, argv: list[str], out_path: str | None) -> tuple[list[str], tuple]:
+    """The invariants one in-process call of main breaks, as messages, and
+    what it gave: (exit code, stdout, stderr, --out payload or None)."""
     out, err = io.StringIO(), io.StringIO()
     problems = []
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
@@ -172,7 +176,18 @@ def run(main, argv: list[str], out_path: str | None) -> list[str]:
             problems.append("--out file written on an error")
     elif found := NAN_OR_INF.search(payload):
         problems.append(f"nan or inf in the payload: {found.group()!r}")
-    return problems
+    return problems, (code, stdout, stderr, payload if wrote else None)
+
+
+@contextlib.contextmanager
+def full_parser(cli):
+    """cli.build_parser builds every subcommand in full, whatever command it is given."""
+    build = cli.build_parser
+    cli.build_parser = lambda command=None: build()
+    try:
+        yield
+    finally:
+        cli.build_parser = build
 
 
 def sweep(count: int, seed: int, workdir: str) -> list[str]:
@@ -182,15 +197,22 @@ def sweep(count: int, seed: int, workdir: str) -> list[str]:
     the working directory to it.
     """
     os.chdir(ROOT)
-    from xdyn.cli import main
+    from xdyn import cli
 
     r = random.Random(seed)
     sources = itertools.cycle(STATE_SOURCES)
-    out_path = os.path.join(workdir, "out.txt")
+    out_path, full_out_path = os.path.join(workdir, "out.txt"), os.path.join(workdir, "out_full.txt")
     violations = []
     for _ in range(count):
         argv, out = draw(r, sources, out_path)
-        violations += [f"{problem}: xdyn {shlex.join(argv)}" for problem in run(main, argv, out)]
+        problems, outcome = run(cli.main, argv, out)
+        # the invariants above are a function of the outcome, so matching it checks them too
+        with full_parser(cli):
+            full_argv = [token.replace(out_path, full_out_path) for token in argv]
+            code, stdout, stderr, payload = run(cli.main, full_argv, out and full_out_path)[1]
+        if outcome != (code, stdout, stderr.replace(full_out_path, out_path), payload):
+            problems.append("the full parser gives another exit code, stdout, stderr or --out payload")
+        violations += [f"{problem}: xdyn {shlex.join(argv)}" for problem in problems]
     return violations
 
 

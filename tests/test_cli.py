@@ -1,4 +1,5 @@
 """Command line behavior: output schemas, exit codes, determinism."""
+import argparse
 import json
 import math
 import os
@@ -590,7 +591,16 @@ def test_back_to_back_calls_share_no_state(tmp_path, capsys):
 def test_parser_for_one_command_matches_the_full_parser(argv):
     full, one = build_parser(), build_parser(argv[0])
     assert one.format_help() == full.format_help()
+    assert one.format_usage() == full.format_usage()
+    full_sub, one_sub = _subparser(full, argv[0]), _subparser(one, argv[0])
+    assert one_sub.format_help() == full_sub.format_help()
+    assert one_sub.format_usage() == full_sub.format_usage()
     assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+
+
+def _subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
 
 
 def test_state_file_matches_inline(tmp_path, capsys):

@@ -17,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from argv_sweep import full_parser
 from make_cli_corpus import run_case
+from xdyn import cli
 from xdyn.cli import main
 
 CORPUS = Path(__file__).resolve().parent / "data" / "cli_corpus"
@@ -44,3 +46,13 @@ def test_cli_corpus_case(case, monkeypatch):
     monkeypatch.setenv("COLUMNS", str(MANIFEST["columns"]))
     monkeypatch.chdir(CORPUS.parents[2])  # state files are named relative to the repository root
     assert run_case(main, case["argv"]) == (case["exit"], out, err)
+
+
+@pytest.mark.parametrize("case", MANIFEST["cases"], ids=[case["name"] for case in MANIFEST["cases"]])
+def test_corpus_case_runs_as_under_the_full_parser(case, monkeypatch):
+    # main builds the parser for the command argv names; the full parser must give the same bytes
+    monkeypatch.setenv("COLUMNS", str(MANIFEST["columns"]))
+    monkeypatch.chdir(CORPUS.parents[2])
+    one = run_case(main, case["argv"])
+    with full_parser(cli):
+        assert run_case(main, case["argv"]) == one

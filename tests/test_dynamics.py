@@ -41,7 +41,7 @@ from xdyn import (
 )
 from xdyn import dynamics
 from xdyn.dynamics import FidelityTrace
-from xdyn.validate import _c_diff_cos2, _c_diff_sin2, _commuting_from, _population_aggregate
+from xdyn.validate import _c_diff_cos2, _c_diff_sin2, _commuting_from, _population_aggregate, _xstate_from
 
 from conftest import max_abs, random_bell_diagonal, random_params, random_xstate
 
@@ -519,6 +519,47 @@ def test_classify_stationary_iff_commutes(pops, z_frac, w_frac, omega, delta, jz
     h, rho = hamiltonian(p), xstate_matrix(s)
     commutes = max_abs(h @ rho - rho @ h) <= 1e-12
     assert (classify(s, p).kind == "stationary") == commutes
+
+
+# A coupling of either sign, log-uniform from 1e-150 to 1e150, where the
+# squares in [H, rho0] and in 4 eta^2 B_eta stay finite.
+_DECADE_COUPLING = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-150.0, 150.0)).map(
+    lambda sign_exponent: sign_exponent[0] * 10.0 ** sign_exponent[1]
+)
+# (jx, jy, field) at the frequency corners the closed forms must survive
+_CORNERS = {
+    "generic": lambda jx, jy, field: (jx, jy, field),
+    "eta = 0": lambda jx, jy, field: (jx, jx, 0.0),
+    "Omega = 0": lambda jx, jy, field: (jx, -jx, field),
+    "B = 0": lambda jx, jy, field: (jx, jy, 0.0),
+    "eta = Omega = 0": lambda jx, jy, field: (0.0, 0.0, 0.0),
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=6, max_size=6),
+    jx=_DECADE_COUPLING,
+    jy=_DECADE_COUPLING,
+    jz=_DECADE_COUPLING,
+    field=_DECADE_COUPLING,
+    corner=st.sampled_from(list(_CORNERS)),
+)
+def test_commutator_blocks_match_the_mode_amplitudes(u, jx, jy, jz, field, corner):
+    # [H, rho0] is X-shaped; the squared norms of its outer block {0, 3} and inner
+    # block {1, 2} are 4 eta^2 B_eta and 4 Omega^2 C, with no time evolution and no
+    # code shared with _mode_amplitudes
+    s = _xstate_from(np.array(u))
+    jx, jy, field = _CORNERS[corner](jx, jy, field)
+    p = CouplingParams(jx, jy, jz, field)
+    h, rho = hamiltonian(p), xstate_matrix(s)
+    commutator = h @ rho - rho @ h
+    assert np.all(commutator[[0, 0, 1, 1, 2, 2, 3, 3], [1, 2, 0, 3, 0, 3, 1, 2]] == 0.0)
+    b_eta, c = dynamics._mode_amplitudes(s, p)
+    scale = max(p.eta, abs(p.omega), abs(p.jz)) ** 2 * s.purity
+    for block, expected in (((0, 3), 4.0 * p.eta**2 * b_eta), ((1, 2), 4.0 * p.omega**2 * c)):
+        squared_norm = float(np.sum(abs(commutator[np.ix_(block, block)]) ** 2))
+        assert abs(squared_norm - expected) / scale <= 1e-14, (block, squared_norm, expected)
 
 
 def test_classify_single_mode_periods_match_detect_period(rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xdyn import RangeError, expm, hamiltonian, propagator, run_validation
-from xdyn.validate import BLOCK, CheckResult, ValidationReport, _params_from, _uniform
+from xdyn.validate import BLOCK, CheckResult, ValidationReport, _Extreme, _params_from, _uniform
 
 from conftest import max_abs
 
@@ -115,6 +115,17 @@ def test_worst_index_replays_the_worst_draw():
     draws = {"three-term overlap law vs oracle": 60}
     checks = run_validation(5, 30).checks
     assert all(c.worst_index is not None and 0 <= c.worst_index < draws.get(c.name, 30) for c in checks)
+
+
+@pytest.mark.parametrize("lowest", [False, True], ids=["max", "lowest"])
+def test_extreme_keeps_the_first_nan_in_any_block(lowest):
+    # blocks of case indices 0-2, 3-5, 6-8 and 9-11; the first NaN is case 4, in the second block
+    blocks = [[1e-15, 2e-15, 1e-15], [1e-15, np.nan, 3e-15], [np.nan, 1.0, -1.0], [5.0, -5.0, 0.0]]
+    extreme = _Extreme(lowest=lowest)
+    for start, values in zip(range(0, 12, 3), blocks):
+        extreme.add(np.arange(start, start + 3), np.array(values))
+    result = extreme.result("x", 1e-9)
+    assert np.isnan(result.observed) and result.worst_index == 4 and not result.passed
 
 
 def test_worst_index_is_not_rendered():
